@@ -9,6 +9,7 @@ directory so the data-parallel path can be exercised in one command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -16,7 +17,9 @@ import tempfile
 
 from ..config import KERNEL_BACKENDS, PARALLEL_BACKENDS, BoatConfig, SplitConfig
 from ..datagen import AgrawalConfig, AgrawalGenerator
-from ..observability import NULL_TRACER, Tracer, format_trace, write_jsonl
+from ..core.pipeline import check_modes
+from ..exceptions import UnsupportedModeError
+from ..observability import format_trace, write_jsonl
 from ..splits import ImpuritySplitSelection, QuestSplitSelection
 from ..storage import DiskTable, IOStats
 from ..tree import tree_summary, tree_to_json
@@ -51,13 +54,24 @@ def _is_sqlite_file(path: str) -> bool:
         return False
 
 
-def open_flat_table(path: str, io: IOStats, *, simulated_mbps: float = 0.0):
-    """Open a flat training table, auto-detecting the sqlite backend."""
-    if _is_sqlite_file(path):
+def open_flat_table(
+    path: str, io: IOStats, *, simulated_mbps: float | None = 0.0,
+    backend: str = "auto",
+):
+    """Open a flat training table; ``backend="auto"`` detects sqlite files."""
+    if backend == "sql" or (backend == "auto" and _is_sqlite_file(path)):
         from ..storage import SqlTable
 
+        # The sqlite file is the device; there is no byte stream to
+        # throttle, so --simulate-io-mbps does not apply here.
         return SqlTable.open(path, io_stats=io)
     return DiskTable.open(path, io, simulated_mbps=simulated_mbps)
+
+
+def _method(args: argparse.Namespace):
+    if args.method == "quest":
+        return QuestSplitSelection(kernels=args.kernel_backend)
+    return ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
 
 
 def _build_flat(
@@ -65,47 +79,20 @@ def _build_flat(
     io: IOStats,
     split_config: SplitConfig,
     boat_config: BoatConfig,
-    tracer,
 ):
-    from ..core import boat_build
+    from ..core import boat_build, quest_boat_build
+    from ..recovery import resume_build
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "sql" if _is_sqlite_file(args.table) else "disk"
-    if backend == "sql":
-        from ..storage import SqlTable
-
-        # The sqlite file is the device; there is no byte stream to
-        # throttle, so --simulate-io-mbps does not apply here.
-        table = SqlTable.open(args.table, io_stats=io)
-    else:
-        table = DiskTable.open(
-            args.table, io, simulated_mbps=args.simulate_io_mbps
-        )
+    table = open_flat_table(
+        args.table, io, simulated_mbps=args.simulate_io_mbps, backend=args.backend
+    )
     if args.method == "quest":
-        from ..core import quest_boat_build
-
-        # The QUEST driver is not phase-instrumented yet; one umbrella
-        # span still captures the run's totals.
-        with tracer.span("build", method="quest"):
-            result = quest_boat_build(
-                table,
-                QuestSplitSelection(kernels=args.kernel_backend),
-                split_config,
-                boat_config,
-            )
-        return result.tree
-    method = ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
+        return quest_boat_build(table, _method(args), split_config, boat_config)
     if args.resume is not None:
-        from ..recovery import resume_build
-
-        result = resume_build(
-            table, method, split_config, boat_config, tracer=tracer
-        )
+        result = resume_build(table, _method(args), split_config, boat_config)
         print(f"resumed from checkpoint {args.resume}")
-        return result.tree
-    result = boat_build(table, method, split_config, boat_config, tracer=tracer)
-    return result.tree
+        return result
+    return boat_build(table, _method(args), split_config, boat_config)
 
 
 def _build_sharded(
@@ -113,9 +100,10 @@ def _build_sharded(
     io: IOStats,
     split_config: SplitConfig,
     boat_config: BoatConfig,
-    tracer,
 ):
-    from ..shard import make_transport, sharded_boat_build
+    from ..core import quest_boat_build
+    from ..shard import make_transport, resume_sharded_build, sharded_boat_build
+    from ..shard.rpc import LocalShardCluster
     from ..storage import ShardedTable, partition_table
 
     scratch = None
@@ -135,50 +123,23 @@ def _build_sharded(
                 scratch, io, simulated_mbps=args.simulate_io_mbps
             )
         if args.method == "quest":
-            from ..core import quest_boat_build
-
             # QUEST reads the sharded table directly (the scan API is
             # transport-free), so the coordinator is not involved.
-            with tracer.span("build", method="quest"):
-                result = quest_boat_build(
-                    table,
-                    QuestSplitSelection(kernels=args.kernel_backend),
-                    split_config,
-                    boat_config,
-                )
+            result = quest_boat_build(table, _method(args), split_config, boat_config)
             print(f"quest build over {table.n_shards} shard(s) (direct scan)")
-            return result.tree
-        method = ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
-        if args.resume is not None:
-            from ..shard import resume_sharded_build as entry
-        else:
-            entry = sharded_boat_build
-        if args.shard_transport == "tcp":
-            from ..shard.rpc import LocalShardCluster
-
-            with LocalShardCluster(table.shard_paths) as cluster:
-                transport = make_transport(
-                    "tcp", table.shard_paths, addresses=cluster.addresses
+            return result
+        entry = sharded_boat_build if args.resume is None else resume_sharded_build
+        with contextlib.ExitStack() as stack:
+            transport = args.shard_transport
+            if transport == "tcp":
+                cluster = stack.enter_context(LocalShardCluster(table.shard_paths))
+                addresses = cluster.addresses
+                transport = stack.enter_context(
+                    make_transport("tcp", table.shard_paths, addresses=addresses)
                 )
-                with transport:
-                    result = entry(
-                        table,
-                        method,
-                        split_config,
-                        boat_config,
-                        tracer=tracer,
-                        transport=transport,
-                        shard_simulated_mbps=args.simulate_io_mbps,
-                    )
-        else:
             result = entry(
-                table,
-                method,
-                split_config,
-                boat_config,
-                tracer=tracer,
-                transport=args.shard_transport,
-                shard_simulated_mbps=args.simulate_io_mbps,
+                table, _method(args), split_config, boat_config,
+                transport=transport, shard_simulated_mbps=args.simulate_io_mbps,
             )
         report = result.shard_report
         scans = [stats.full_scans for stats in report.shard_io]
@@ -193,7 +154,7 @@ def _build_sharded(
         )
         if report.failovers:
             print(f"elastic: {report.failovers} failover(s)")
-        return result.tree
+        return result
     finally:
         if table is not None:
             table.close()
@@ -206,14 +167,9 @@ def _build_forest(
     io: IOStats,
     split_config: SplitConfig,
     boat_config: BoatConfig,
-    tracer,
 ):
     from ..forest import forest_build
 
-    if args.method == "quest":
-        method = QuestSplitSelection(kernels=args.kernel_backend)
-    else:
-        method = ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
     table = open_flat_table(
         args.table, io, simulated_mbps=args.simulate_io_mbps or 0.0
     )
@@ -221,10 +177,9 @@ def _build_forest(
         return forest_build(
             table,
             args.forest,
-            method,
+            _method(args),
             split_config,
             boat_config,
-            tracer=tracer,
             oob=args.oob,
         )
 
@@ -235,21 +190,20 @@ def _cmd_build(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     sharded = os.path.isdir(args.table) or args.shards is not None
+    try:
+        check_modes(
+            "tree" if args.forest is None else "forest",
+            quest=args.method == "quest",
+            sharded=sharded,
+            checkpoint=args.resume is not None or args.checkpoint is not None,
+            sql_pushdown=args.sql_pushdown,
+        )
+    except UnsupportedModeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.forest is not None:
         if args.forest < 1:
             print("error: --forest must be >= 1", file=sys.stderr)
-            return 2
-        if sharded:
-            print("error: --forest builds share one flat-table scan; shard "
-                  "directories and --shards are not supported", file=sys.stderr)
-            return 2
-        if args.resume is not None or args.checkpoint is not None:
-            print("error: --checkpoint/--resume is not supported for forest "
-                  "builds", file=sys.stderr)
-            return 2
-        if args.sql_pushdown:
-            print("error: --sql-pushdown applies to single-tree builds",
-                  file=sys.stderr)
             return 2
     elif args.oob:
         print("error: --oob is a forest estimate; add --forest M", file=sys.stderr)
@@ -285,16 +239,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
         scan_retries=args.scan_retries,
         kernel_backend=args.kernel_backend,
         sql_pushdown=args.sql_pushdown,
+        trace=args.trace is not None,
     )
-    tracer = Tracer(io) if args.trace is not None else NULL_TRACER
-    if args.method == "quest" and boat_config.checkpoint_dir is not None:
-        print("error: --checkpoint/--resume is not supported for the "
-              "QUEST driver", file=sys.stderr)
-        return 2
     if args.forest is not None:
         from ..forest import forest_to_json
 
-        result = _build_forest(args, io, split_config, boat_config, tracer)
+        result = _build_forest(args, io, split_config, boat_config)
         forest, report = result.forest, result.report
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(forest_to_json(forest, indent=2))
@@ -312,16 +262,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(f"forest written to {args.out}")
     else:
         if sharded:
-            tree = _build_sharded(args, io, split_config, boat_config, tracer)
+            result = _build_sharded(args, io, split_config, boat_config)
         else:
-            tree = _build_flat(args, io, split_config, boat_config, tracer)
+            result = _build_flat(args, io, split_config, boat_config)
+        tree = result.tree
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(tree_to_json(tree, indent=2))
         print(tree_summary(tree))
         print(f"I/O: {io}")
         print(f"tree written to {args.out}")
     if args.trace is not None:
-        report = tracer.report()
+        report = result.report.trace
         if args.trace == "-":
             print(format_trace(report))
         else:

@@ -12,11 +12,9 @@ additionally record a structured span tree — ``sample`` → ``bootstrap``
 → ``coarse`` → ``cleanup`` → ``finalize`` — whose counters make the
 two-scan claim machine-checkable (see ``docs/OBSERVABILITY.md``).
 
-Failure hygiene: any error escaping the build (including injected I/O
-faults mid-scan) releases every held/family store the skeleton created,
-so no temporary spill files survive a failed construction, and raw
-:class:`OSError` from the storage layer surfaces as a
-:class:`~repro.exceptions.StorageError`.
+The phases run in :mod:`repro.core.pipeline`, which also owns failure
+hygiene (no spill files survive a failed build; ``OSError`` surfaces as
+:class:`~repro.exceptions.StorageError`).
 
 Crash safety: with ``BoatConfig.checkpoint_dir`` set the build persists
 its skeleton and cleanup-scan progress as it goes (durable spill files
@@ -29,98 +27,13 @@ mid-scan without failing the build at all.  See ``docs/RECOVERY.md``.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from ..config import BoatConfig, SplitConfig
-from ..exceptions import ReproError, StorageError
-from ..kernels import get_kernels
-from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
-from ..parallel import WorkerPool
+from ..observability import NullTracer, Tracer
 from ..splits.methods import ImpuritySplitSelection
-from ..storage import IOStats, Schema, Table, sample_table
-from ..tree import DecisionTree, build_reference_tree
-from .bootstrap import SamplingReport, sampling_phase
-from .cleanup import cleanup_scan
-from .finalize import FinalizeReport, finalize_tree, prefetch_frontier_subtrees
-from .workers import init_build_context
+from ..storage import Table
+from .pipeline import BoatReport, BoatResult, FlatSource, build_tree, make_build_pool
 
-
-@dataclass
-class BoatReport:
-    """Diagnostics of one static BOAT construction.
-
-    Attributes:
-        mode: "boat" for the full algorithm, "in-memory" when the table
-            was no larger than the sample and BOAT switched to the
-            reference builder outright.
-        table_size: |D|.
-        sampling / finalize: phase diagnostics (None in in-memory mode).
-        wall_seconds: per-phase wall-clock times.
-        io: per-phase I/O deltas (only phases that touched storage).
-        workers: resolved worker count of the execution pool.
-        parallel_backend: resolved backend ("serial" when workers == 1).
-        trace: the phase-span trace, when tracing was enabled.
-    """
-
-    mode: str
-    table_size: int
-    sampling: SamplingReport | None = None
-    finalize: FinalizeReport | None = None
-    wall_seconds: dict[str, float] = field(default_factory=dict)
-    io: dict[str, IOStats] = field(default_factory=dict)
-    workers: int = 1
-    parallel_backend: str = "serial"
-    trace: TraceReport | None = None
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.wall_seconds.values())
-
-
-@dataclass
-class BoatResult:
-    """A finished tree plus its construction report."""
-
-    tree: DecisionTree
-    report: BoatReport
-
-
-def make_build_pool(
-    sample: np.ndarray,
-    schema: Schema,
-    method: ImpuritySplitSelection,
-    split_config: SplitConfig,
-    boat_config: BoatConfig,
-    tracer: Tracer | NullTracer | None = None,
-) -> WorkerPool:
-    """The worker pool for one BOAT build, carrying the shared build context.
-
-    Process workers receive (sample, schema, method, split config,
-    subsample size) once through the pool initializer; the thread and
-    serial backends run the same initializer in the parent.  Use as a
-    context manager so workers are reclaimed when the build ends.
-    """
-    subsample = boat_config.bootstrap_subsample or len(sample)
-    return WorkerPool(
-        boat_config.n_workers,
-        boat_config.parallel_backend,
-        initializer=init_build_context,
-        initargs=(sample, schema, method, split_config, subsample),
-        tracer=tracer,
-    )
-
-
-def _resolve_tracer(
-    tracer: Tracer | NullTracer | None, boat_config: BoatConfig, io: IOStats | None
-) -> Tracer | NullTracer:
-    if tracer is not None:
-        return tracer
-    if boat_config.trace:
-        return Tracer(io)
-    return NULL_TRACER
+__all__ = ["BoatReport", "BoatResult", "boat_build", "make_build_pool"]
 
 
 def boat_build(
@@ -148,154 +61,10 @@ def boat_build(
     """
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
-    rng = np.random.default_rng(boat_config.seed)
-    io = table.io_stats
-    tracer = _resolve_tracer(tracer, boat_config, io)
     report = BoatReport(mode="boat", table_size=len(table))
-
-    # Recovery hooks (imported lazily: repro.recovery imports this module).
-    checkpoint = None
-    durable_dir = None
-    scan_table: Table = table
-    if boat_config.checkpoint_dir or boat_config.scan_retries > 0:
-        from ..recovery import CheckpointManager, build_digest, wrap_retry
-
-        if boat_config.checkpoint_dir:
-            checkpoint = CheckpointManager(
-                boat_config.checkpoint_dir,
-                boat_config.checkpoint_every_batches,
-                tracer,
-            )
-            checkpoint.begin(
-                table.schema,
-                len(table),
-                build_digest(table.schema, len(table), split_config, boat_config),
-            )
-            durable_dir = checkpoint.spill_dir
-        scan_table = wrap_retry(table, boat_config, tracer)
-
-    def phase(name: str, start: float, io_before: IOStats | None) -> None:
-        report.wall_seconds[name] = time.perf_counter() - start
-        if io is not None and io_before is not None:
-            report.io[name] = io.delta_since(io_before)
-
-    result = None
-    try:
-        with tracer.span("boat_build", table_size=len(table)):
-            # -- sampling phase ----------------------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            with tracer.span(
-                "sample", requested_rows=boat_config.sample_size
-            ) as sample_span:
-                sample = sample_table(
-                    scan_table, boat_config.sample_size, rng, boat_config.batch_rows
-                )
-                sample_span.set(sample_rows=len(sample))
-            if len(sample) >= len(table):
-                # D fits in the sample: the paper's in-memory switch applies
-                # at the root; run the reference builder directly.
-                with tracer.span("in_memory_build"):
-                    tree = build_reference_tree(
-                        sample, table.schema, method, split_config
-                    )
-                phase("in_memory_build", t0, io_before)
-                report.mode = "in-memory"
-                if checkpoint is not None:
-                    checkpoint.finish()
-                if tracer.enabled:
-                    report.trace = tracer.report()
-                return BoatResult(tree=tree, report=report)
-            with make_build_pool(
-                sample, table.schema, method, split_config, boat_config, tracer
-            ) as pool:
-                result = sampling_phase(
-                    sample,
-                    table.schema,
-                    method,
-                    split_config,
-                    boat_config,
-                    len(table),
-                    rng,
-                    spill_dir,
-                    io,
-                    pool=pool,
-                    tracer=tracer,
-                    durable_dir=durable_dir,
-                )
-                report.sampling = result.report
-                phase("sampling", t0, io_before)
-                if checkpoint is not None:
-                    # The skeleton is immutable from here on; persisting it
-                    # now makes every later crash resumable.
-                    checkpoint.save_skeleton(result.root)
-
-                # -- cleanup scan --------------------------------------------
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                cleanup_scan(
-                    result.root,
-                    scan_table,
-                    table.schema,
-                    boat_config.batch_rows,
-                    pool,
-                    tracer=tracer,
-                    progress=(
-                        None
-                        if checkpoint is None
-                        else checkpoint.progress_hook(result.root)
-                    ),
-                    kernels=get_kernels(boat_config.kernel_backend),
-                    # Checkpointing needs row-granular scan progress, which
-                    # the aggregation pushdown cannot report; resume paths
-                    # use the streamed scan.
-                    sql_pushdown=(
-                        boat_config.sql_pushdown and checkpoint is None
-                    ),
-                )
-                phase("cleanup_scan", t0, io_before)
-                if checkpoint is not None:
-                    # Fully accumulated: a crash during finalization resumes
-                    # with zero scan rows to re-read.
-                    checkpoint.checkpoint_cleanup(result.root, len(table))
-
-                # -- finalization --------------------------------------------
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                with tracer.span("finalize") as finalize_span:
-                    prefetch = prefetch_frontier_subtrees(
-                        result.root, table.schema, method, split_config, pool
-                    )
-                    tree, finalize_report = finalize_tree(
-                        result.root,
-                        table.schema,
-                        method,
-                        split_config,
-                        prefetch=prefetch,
-                    )
-                    finalize_span.set(
-                        confirmed_splits=finalize_report.confirmed_splits,
-                        frontier_completions=finalize_report.frontier_completions,
-                        rebuilds=finalize_report.rebuilds,
-                        tree_nodes=tree.n_nodes,
-                    )
-                report.finalize = finalize_report
-                phase("finalize", t0, io_before)
-                report.workers = pool.n_workers
-                report.parallel_backend = pool.backend
-    except ReproError:
-        raise
-    except OSError as exc:
-        # A device/file error mid-build must not surface as a raw OSError
-        # with a half-built skeleton behind it.
-        raise StorageError(f"I/O failure during BOAT construction: {exc}") from exc
-    finally:
-        # Success or failure, the skeleton's held/family stores (and any
-        # spill files they own) are torn down before we return.
-        if result is not None:
-            result.root.release()
-    if checkpoint is not None:
-        checkpoint.finish()
-    if tracer.enabled:
-        report.trace = tracer.report()
+    tree = build_tree(
+        FlatSource(table, boat_config), method, report, split_config,
+        boat_config, spill_dir, span="boat_build", what="BOAT construction",
+        tracer=tracer,
+    )
     return BoatResult(tree=tree, report=report)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -60,17 +60,6 @@ from .state import BoatNode, apply_batch_delta, compute_batch_delta, stream_batc
 
 #: Progress callback: absolute rows scanned so far (start_row included).
 ProgressFn = Callable[[int], None]
-
-
-def scan_from(
-    table: Table, batch_rows: int, start_row: int, stop_row: int | None = None
-) -> Iterator[np.ndarray]:
-    """Scan ``table`` rows ``[start_row, stop_row)``, as cheaply as it allows.
-
-    Thin alias for :func:`repro.storage.bounded_scan`, kept because the
-    recovery and shard layers import the bounded scan from here.
-    """
-    yield from bounded_scan(table, batch_rows, start_row, stop_row)
 
 
 def _sql_source(table: Table):
@@ -97,6 +86,7 @@ def cleanup_scan(
     kernels: KernelBackend = DEFAULT_KERNELS,
     stop_row: int | None = None,
     sql_pushdown: bool = False,
+    stream: Callable[[object, np.ndarray], None] | None = None,
 ) -> None:
     """Stream the table down the skeleton, in parallel when possible.
 
@@ -112,6 +102,9 @@ def cleanup_scan(
     queries and only held/family rows are exported (see docs/SQL.md).
     Any other table, or a sub-range scan, falls back to the normal path —
     the output is byte-identical either way.
+
+    ``stream(root, batch)`` replaces ``stream_batch`` for a skeleton not
+    made of BoatNodes (QUEST's); only the serial path takes it.
     """
     with tracer.span("cleanup", batch_rows=batch_rows) as span:
         if start_row:
@@ -131,8 +124,11 @@ def cleanup_scan(
         if pool is None or not pool.is_parallel:
             span.set(workers=1)
             rows_done = start_row
-            for batch in scan_from(table, batch_rows, start_row, stop_row):
-                stream_batch(root, batch, schema, sign=1, kernels=kernels)
+            for batch in bounded_scan(table, batch_rows, start_row, stop_row):
+                if stream is None:
+                    stream_batch(root, batch, schema, sign=1, kernels=kernels)
+                else:
+                    stream(root, batch)
                 rows_done += len(batch)
                 if progress is not None:
                     progress(rows_done)
@@ -226,7 +222,7 @@ def _parallel_scan(
 
     rows_done = start_row
     for deltas, n_rows in pool.imap(
-        route, scan_from(table, batch_rows, start_row, stop_row)
+        route, bounded_scan(table, batch_rows, start_row, stop_row)
     ):
         apply_batch_delta(deltas)
         rows_done += n_rows

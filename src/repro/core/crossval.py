@@ -21,19 +21,17 @@ Every fold tree is exactly the reference tree of its training partition
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
 from ..exceptions import SplitSelectionError
 from ..splits.methods import ImpuritySplitSelection
-from ..storage import CLASS_COLUMN, Table
-from ..tree import DecisionTree, build_reference_tree
-from .bootstrap import sampling_phase
+from ..storage import CLASS_COLUMN, Table, gather_rows
+from ..tree import DecisionTree
 from .cleanup import shared_cleanup_scan
-from .finalize import finalize_tree
-from .state import stream_batch
+from .pipeline import BoatReport, FlatSource, ImpuritySplits, Members, run_pipeline
 
 
 @dataclass
@@ -59,6 +57,51 @@ class CrossValidationResult:
         return float(np.mean(self.fold_errors)) if self.fold_errors else 0.0
 
 
+class _Folds(Members):
+    """k fold trees; fold f trains on every row not congruent to f mod k."""
+
+    mode = "crossval"
+
+    def __init__(self, k: int, boat_config: BoatConfig, n_rows: int):
+        super().__init__(BoatReport(mode="boat", table_size=n_rows))
+        self.k = k
+        self.boat_config = boat_config
+        self.span_attrs = {"folds": k}
+
+    def draw(self, source: FlatSource, rng) -> int:
+        """Scan 1: one shared sample, with global positions retained."""
+        n, k = len(source.table), self.k
+        self.drawn = min(self.boat_config.sample_size, n)
+        chosen = np.sort(rng.choice(n, size=self.drawn, replace=False))
+        sample = gather_rows(source.scan_table, chosen, self.boat_config.batch_rows)
+        self.samples = [sample[chosen % k != fold] for fold in range(k)]
+        self.sizes, self.rngs = [n - n // k] * k, [rng] * k
+        return self.drawn
+
+    def fits_in_memory(self, n_rows: int) -> bool:
+        return self.drawn >= n_rows  # the sample is the whole table
+
+    def cleanup(self, source: FlatSource, splits, pool, tracer, checkpoint) -> None:
+        """Scan 2: every batch streams through all k skeletons."""
+        k = self.k
+
+        def fold_sink(fold: int, skeleton):
+            def sink(batch: np.ndarray, offset: int) -> None:
+                folds = (offset + np.arange(len(batch))) % k
+                splits.stream(skeleton, batch[folds != fold])
+
+            return sink
+
+        shared_cleanup_scan(
+            source.scan_table,
+            [fold_sink(fold, s) for fold, s in enumerate(self.skeletons)],
+            self.boat_config.batch_rows,
+            pool=pool,
+            tracer=tracer,
+            labels=[f"fold-{fold}" for fold in range(k)],
+        )
+
+
 def boat_cross_validate(
     table: Table,
     k: int,
@@ -75,75 +118,15 @@ def boat_cross_validate(
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
     start = time.perf_counter()
-    rng = np.random.default_rng(boat_config.seed)
-    schema = table.schema
-    n = len(table)
-
-    # -- scan 1: one shared sample, with global positions retained -------
-    size = min(boat_config.sample_size, n)
-    chosen = np.sort(rng.choice(n, size=size, replace=False))
-    sample = schema.empty(size)
-    sample_positions = chosen
-    filled = 0
-    offset = 0
-    for batch in table.scan(boat_config.batch_rows):
-        lo = np.searchsorted(chosen, offset, side="left")
-        hi = np.searchsorted(chosen, offset + len(batch), side="left")
-        if hi > lo:
-            sample[filled : filled + hi - lo] = batch[chosen[lo:hi] - offset]
-            filled += hi - lo
-        offset += len(batch)
-    scans = 1
-
-    small = size >= n  # whole table in memory: fall back per fold
-    sample_folds = sample_positions % k
-    skeletons = []
-    if not small:
-        for fold in range(k):
-            training_sample = sample[sample_folds != fold]
-            result = sampling_phase(
-                training_sample,
-                schema,
-                method,
-                split_config,
-                boat_config,
-                n - n // k,
-                rng,
-                spill_dir,
-                table.io_stats,
-            )
-            skeletons.append(result.root)
-
-        # -- scan 2: shared cleanup scan ---------------------------------
-        def fold_sink(fold: int, skeleton):
-            def sink(batch: np.ndarray, offset: int) -> None:
-                folds = (offset + np.arange(len(batch))) % k
-                stream_batch(skeleton, batch[folds != fold], schema)
-
-            return sink
-
-        shared_cleanup_scan(
-            table,
-            [fold_sink(fold, s) for fold, s in enumerate(skeletons)],
-            boat_config.batch_rows,
-            labels=[f"fold-{fold}" for fold in range(k)],
-        )
-        scans += 1
-
-        trees = []
-        for skeleton in skeletons:
-            tree, _ = finalize_tree(skeleton, schema, method, split_config)
-            trees.append(tree)
-            skeleton.release()
-    else:
-        family = sample  # == the full table
-        trees = []
-        for fold in range(k):
-            trees.append(
-                build_reference_tree(
-                    family[sample_folds != fold], schema, method, split_config
-                )
-            )
+    members = _Folds(k, boat_config, len(table))
+    splits = ImpuritySplits(
+        method, table.schema, split_config, boat_config, table.io_stats, spill_dir
+    )
+    run_pipeline(
+        FlatSource(table, boat_config), members, splits, split_config,
+        boat_config, span="boat_cross_validate", what="cross-validation", folds=k,
+    )
+    trees = members.trees
 
     # -- scan 3: held-out evaluation, all folds in one pass ---------------
     errors = np.zeros(k, dtype=np.int64)
@@ -160,7 +143,6 @@ def boat_cross_validate(
             errors[fold] += int(np.sum(predicted != rows[CLASS_COLUMN]))
             totals[fold] += len(rows)
         offset += len(batch)
-    scans += 1
 
     fold_errors = [
         float(errors[f]) / totals[f] if totals[f] else 0.0 for f in range(k)
@@ -168,6 +150,6 @@ def boat_cross_validate(
     return CrossValidationResult(
         trees=trees,
         fold_errors=fold_errors,
-        scans=scans,
+        scans=2 if members.report.mode == "in-memory" else 3,
         wall_seconds=time.perf_counter() - start,
     )

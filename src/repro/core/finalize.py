@@ -220,19 +220,12 @@ class Finalizer:
         # the eligibility rule of :func:`prefetch_frontier_subtrees`.
         if len(inherited) == 0 and node.node_id in self._prefetch:
             self.report.frontier_prefetch_hits += 1
-            return self._graft(self._prefetch.pop(node.node_id), node.depth)
+            return graft(self._prefetch.pop(node.node_id), node.depth, self._ids)
         family = collect_family(node, inherited, self._schema)
         sub = build_reference_tree(
             family, self._schema, self._method, config_at_depth(self._config, node.depth)
         )
-        return self._graft(sub.root, node.depth)
-
-    def _graft(self, root: Node, depth_offset: int) -> Node:
-        """Renumber ids and shift depths of a separately built subtree."""
-        for sub in _preorder(root):
-            sub.node_id = next(self._ids)
-            sub.depth += depth_offset
-        return root
+        return graft(sub.root, node.depth, self._ids)
 
     def _clone_subtree(self, root: Node) -> Node:
         """Structure-copy a cached subtree with fresh node ids.
@@ -275,7 +268,7 @@ class Finalizer:
         self.report.rebuilt_tuples += len(family)
         node.release()
         rebuilt = self._rebuild(family, node.depth)
-        return self._graft(rebuilt, 0)
+        return graft(rebuilt, 0, self._ids)
 
     def _swap_skeleton(self, old: BoatNode, fresh: BoatNode, is_root: bool) -> None:
         parent = old.parent
@@ -490,6 +483,14 @@ def _preorder(root: Node) -> Iterator[Node]:
         if not node.is_leaf:
             stack.append(node.right)
             stack.append(node.left)
+
+
+def graft(root: Node, depth_offset: int, ids: Iterator[int]) -> Node:
+    """Renumber ids and shift depths of a separately built subtree."""
+    for sub in _preorder(root):
+        sub.node_id = next(ids)
+        sub.depth += depth_offset
+    return root
 
 
 def reference_rebuild(

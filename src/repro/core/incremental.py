@@ -31,12 +31,13 @@ import numpy as np
 
 from ..config import BoatConfig, SplitConfig
 from ..exceptions import TreeStructureError
-from ..observability import NULL_TRACER, NullTracer, Tracer
+from ..observability import NullTracer, Tracer
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import IOStats, Schema, Table
 from ..tree import DecisionTree
 from .bootstrap import sampling_phase
 from .finalize import FinalizeReport, Finalizer, config_at_depth
+from .pipeline import resolve_tracer
 from .state import BoatNode, collect_family, stream_batch
 
 
@@ -72,11 +73,9 @@ class IncrementalBoat:
         self._config = boat_config or BoatConfig()
         self._spill_dir = spill_dir
         self._io = io_stats
-        if tracer is None:
-            tracer = Tracer(io_stats) if self._config.trace else NULL_TRACER
         #: The maintainer's tracer: one ``incremental_build`` span for the
         #: initial construction, one ``incremental`` span per update.
-        self.tracer = tracer
+        self.tracer = resolve_tracer(tracer, self._config, io_stats)
         self._ids = itertools.count()
         self._node_ids = itertools.count(1_000_000)
         self._rng = np.random.default_rng(self._config.seed)

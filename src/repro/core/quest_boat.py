@@ -27,21 +27,24 @@ decisions (the impurity mode) remain bit-exact.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
 from ..exceptions import SplitSelectionError
-from ..kernels import DEFAULT_KERNELS, KernelBackend, get_kernels
+from ..kernels import DEFAULT_KERNELS, KernelBackend
+from ..observability import TraceReport
+from ..parallel import WorkerPool
 from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.quest import QuestSplitSelection, QuestSufficientStats
 from ..storage import CLASS_COLUMN, IOStats, Schema, Table, TupleStore
-from ..storage import bootstrap_resample, sample_table
+from ..storage import bootstrap_resample
 from ..tree import DecisionTree, Node, build_reference_tree
 from .coarse import CoarseCategorical, CoarseNumeric
-from .finalize import config_at_depth
+from .finalize import config_at_depth, graft
+from .pipeline import FlatSource, SingleTree, Splits, run_pipeline
+from .state import BoatNode, collect_family
 
 
 class QuestBoatNode:
@@ -98,35 +101,29 @@ class QuestBoatNode:
     def is_frontier(self) -> bool:
         return self.criterion is None
 
-    def nodes(self):
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.right is not None:
-                stack.append(node.right)
-            if node.left is not None:
-                stack.append(node.left)
-
-    def release(self) -> None:
-        for node in self.nodes():
-            if node.held is not None:
-                node.held.clear()
-            if node.family_store is not None:
-                node.family_store.clear()
+    # The same preorder walk and store teardown as the impurity skeleton.
+    nodes = BoatNode.nodes
+    release = BoatNode.release
 
 
 @dataclass
 class QuestBoatReport:
-    """Diagnostics of one BOAT-QUEST construction."""
+    """Diagnostics of one BOAT-QUEST construction (the phase fields mean
+    what they mean on :class:`~repro.core.BoatReport`)."""
 
     table_size: int
     skeleton_nodes: int = 0
     frontier_nodes: int = 0
     confirmed_splits: int = 0
+    frontier_completions: int = 0
     rebuilds: int = 0
     rebuild_reasons: list[str] = field(default_factory=list)
     wall_seconds: dict[str, float] = field(default_factory=dict)
+    mode: str = "boat"
+    io: dict[str, IOStats] = field(default_factory=dict)
+    workers: int = 1
+    parallel_backend: str = "serial"
+    trace: TraceReport | None = None
 
 
 @dataclass
@@ -237,14 +234,8 @@ class _QuestFinalizer:
         stats = self._effective_stats(node, inherited)
         counts = stats.class_counts
         if node.is_frontier:
-            family = self._collect(node, inherited)
-            sub = build_reference_tree(
-                family,
-                self._schema,
-                self._method,
-                config_at_depth(self._config, node.depth),
-            )
-            return self._graft(sub.root, node.depth)
+            self._report.frontier_completions += 1
+            return self._build_family(node, inherited)
         if (
             int(counts.sum()) < self._config.min_samples_split
             or int(np.count_nonzero(counts)) <= 1
@@ -353,37 +344,63 @@ class _QuestFinalizer:
         self._report.rebuild_reasons.append(
             f"node {node.node_id} (depth {node.depth}): {reason}"
         )
-        family = self._collect(node, inherited)
+        subtree = self._build_family(node, inherited)
         node.release()
-        sub = build_reference_tree(
-            family,
-            self._schema,
-            self._method,
-            config_at_depth(self._config, node.depth),
-        )
-        return self._graft(sub.root, node.depth)
+        return subtree
 
-    def _collect(self, node: QuestBoatNode, inherited: np.ndarray) -> np.ndarray:
-        parts = [inherited] if len(inherited) else []
-        for sub in node.nodes():
-            if sub.held is not None and len(sub.held):
-                parts.append(sub.held.read_all())
-            if sub.family_store is not None and len(sub.family_store):
-                parts.append(sub.family_store.read_all())
-        if not parts:
-            return self._schema.empty(0)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def _build_family(self, node: QuestBoatNode, inherited: np.ndarray) -> Node:
+        """The reference QUEST subtree over the node's family, grafted in."""
+        family = collect_family(node, inherited, self._schema)
+        config = config_at_depth(self._config, node.depth)
+        sub = build_reference_tree(family, self._schema, self._method, config)
+        return graft(sub.root, node.depth, self._ids)
 
-    def _graft(self, root: Node, depth_offset: int) -> Node:
-        stack = [root]
-        while stack:
-            sub = stack.pop()
-            sub.node_id = next(self._ids)
-            sub.depth += depth_offset
-            if not sub.is_leaf:
-                stack.append(sub.right)
-                stack.append(sub.left)
-        return root
+
+class QuestSplits(Splits):
+    """QUEST as a split plug-in: bootstrap-intersect, :func:`_stream` and
+    :class:`_QuestFinalizer`, streamed serially and never checkpointed.
+    ``report`` is the one a single-tree build fills (forest members get
+    fresh ones)."""
+
+    boat_nodes = False
+
+    def __init__(self, *args, report: QuestBoatReport | None = None):
+        super().__init__(*args)
+        self.report = report
+
+    def pool(self, sample: np.ndarray, tracer) -> WorkerPool:
+        return WorkerPool(1, "serial", tracer=tracer)
+
+    def grow(self, sample, n_rows, rng, tracer, pool=None, durable_dir=None):
+        report = self.report or QuestBoatReport(table_size=n_rows)
+        config = self.boat_config
+        subsample = config.bootstrap_subsample or len(sample)
+        with tracer.span("sampling", bootstraps=config.bootstrap_repetitions) as span:
+            roots = [
+                self.build_in_memory(bootstrap_resample(sample, subsample, rng)).root
+                for _ in range(config.bootstrap_repetitions)
+            ]
+            skeleton = _intersect(
+                roots, self.schema, self.split_config, config, self.spill_dir,
+                self.io, itertools.count(), 0, report,
+            )
+            span.set(
+                skeleton_nodes=report.skeleton_nodes,
+                frontier_nodes=report.frontier_nodes,
+            )
+        return skeleton, report
+
+    def stream(self, root: QuestBoatNode, batch: np.ndarray) -> None:
+        _stream(root, batch, self.schema, self.kernels)
+
+    def finalize(self, root, grown: QuestBoatReport, pool=None):
+        finalizer = _QuestFinalizer(self.schema, self.method, self.split_config, grown)
+        return finalizer.run(root), grown
+
+    @staticmethod
+    def record(member, grown: QuestBoatReport, finalized) -> None:
+        """Keep one forest member's diagnostics on its report."""
+        member.quest = grown
 
 
 def quest_boat_build(
@@ -397,7 +414,9 @@ def quest_boat_build(
 
     The inherent caveat relative to the impurity mode: equality with the
     reference QUEST tree holds up to floating-point summation order of
-    the sufficient statistics (see the module docstring).
+    the sufficient statistics (see the module docstring).  The build runs
+    the same pipeline as :func:`~repro.core.boat_build` — retries and
+    tracing (``BoatConfig.trace``) included; a checkpoint is refused.
     """
     method = method or QuestSplitSelection()
     if not isinstance(method, QuestSplitSelection):
@@ -405,38 +424,13 @@ def quest_boat_build(
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
     report = QuestBoatReport(table_size=len(table))
-    rng = np.random.default_rng(boat_config.seed)
-    schema = table.schema
-    io = table.io_stats
-
-    t0 = time.perf_counter()
-    sample = sample_table(table, boat_config.sample_size, rng, boat_config.batch_rows)
-    if len(sample) >= len(table):
-        tree = build_reference_tree(sample, schema, method, split_config)
-        report.wall_seconds["in_memory_build"] = time.perf_counter() - t0
-        return QuestBoatResult(tree=tree, report=report)
-    subsample = boat_config.bootstrap_subsample or len(sample)
-    roots = []
-    for _ in range(boat_config.bootstrap_repetitions):
-        resample = bootstrap_resample(sample, subsample, rng)
-        roots.append(
-            build_reference_tree(resample, schema, method, split_config).root
-        )
-    ids = itertools.count()
-    skeleton = _intersect(
-        roots, schema, split_config, boat_config, spill_dir, io, ids, 0, report
+    splits = QuestSplits(
+        method, table.schema, split_config, boat_config, table.io_stats,
+        spill_dir, report=report,
     )
-    report.wall_seconds["sampling"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    kernels = get_kernels(boat_config.kernel_backend)
-    for batch in table.scan(boat_config.batch_rows):
-        _stream(skeleton, batch, schema, kernels)
-    report.wall_seconds["cleanup_scan"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    finalizer = _QuestFinalizer(schema, method, split_config, report)
-    tree = finalizer.run(skeleton)
-    report.wall_seconds["finalize"] = time.perf_counter() - t0
-    skeleton.release()
-    return QuestBoatResult(tree=tree, report=report)
+    members = SingleTree(report)
+    run_pipeline(
+        FlatSource(table, boat_config), members, splits, split_config,
+        boat_config, span="quest_boat_build", what="QUEST construction",
+    )
+    return QuestBoatResult(tree=members.trees[0], report=report)

@@ -48,6 +48,11 @@ class CoarseCriterionFailure(ReproError):
         self.reason = reason
 
 
+class UnsupportedModeError(ReproError):
+    """A build asked for modes the pipeline cannot combine (see
+    :func:`repro.core.pipeline.check_modes`), e.g. a checkpointed forest."""
+
+
 class RecoveryError(ReproError):
     """A checkpoint directory is unusable for resuming a build.
 

@@ -39,20 +39,18 @@ shared scan passes them — no third pass — and scored after finalization
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
-from ..core.bootstrap import SamplingReport, sampling_phase
+from ..core.bootstrap import SamplingReport
 from ..core.cleanup import shared_cleanup_scan
 from ..core.finalize import FinalizeReport, finalize_tree
-from ..core.quest_boat import QuestBoatReport, _intersect, _QuestFinalizer, _stream
-from ..core.state import stream_batch
-from ..exceptions import ReproError, SplitSelectionError, StorageError
-from ..kernels import get_kernels
-from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
+from ..core.pipeline import FlatSource, ImpuritySplits, Members, run_pipeline
+from ..core.quest_boat import QuestBoatReport, QuestSplits
+from ..exceptions import SplitSelectionError, StorageError
+from ..observability import NullTracer, TraceReport, Tracer
 from ..parallel import WorkerPool
 from ..splits.methods import ImpuritySplitSelection
 from ..splits.quest import QuestSplitSelection
@@ -62,14 +60,10 @@ from ..storage import (
     Schema,
     Table,
     TupleStore,
-    bootstrap_resample,
     choose_sample_indices,
 )
-from ..tree import build_reference_tree
 from .bagging import MemberPlan, expand_batch, plan_members
 from .model import DecisionForest
-
-import itertools
 
 
 @dataclass
@@ -104,6 +98,7 @@ class ForestReport:
     wall_seconds: dict[str, float] = field(default_factory=dict)
     io: dict[str, IOStats] = field(default_factory=dict)
     workers: int = 1
+    parallel_backend: str = "serial"
     oob_error: float | None = None
     oob_coverage: float | None = None
     trace: TraceReport | None = None
@@ -117,16 +112,6 @@ class ForestReport:
 class ForestResult:
     forest: DecisionForest
     report: ForestReport
-
-
-def _resolve_tracer(
-    tracer: Tracer | NullTracer | None, config: BoatConfig, io: IOStats | None
-) -> Tracer | NullTracer:
-    if tracer is not None:
-        return tracer
-    if config.trace:
-        return Tracer(io)
-    return NULL_TRACER
 
 
 def _gather_member_samples(
@@ -194,6 +179,99 @@ def _gather_member_samples(
     return out
 
 
+class _ForestMembers(Members):
+    """M bagged members sharing both scans, with optional out-of-bag scoring."""
+
+    mode = "forest"
+
+    def __init__(
+        self, report: ForestReport, plans: list[MemberPlan],
+        boat_config: BoatConfig, schema: Schema, oob: bool,
+    ):
+        super().__init__(report)
+        self.plans = plans
+        self.boat_config = boat_config
+        self.schema = schema
+        self.oob = oob
+        self.oob_stores: list[TupleStore] | None = None
+        self.span_attrs = {"members": len(plans)}
+
+    def draw(self, source: FlatSource, rng) -> int:
+        # Each member draws with its own RNG, as a standalone build would.
+        self.rngs = [np.random.default_rng(p.build_seed) for p in self.plans]
+        self.sizes = [p.resample_rows for p in self.plans]
+        config = self.boat_config
+        self.samples = _gather_member_samples(
+            source.scan_table, self.plans, self.rngs, config.sample_size,
+            config.batch_rows, self.schema,
+        )
+        return sum(len(s) for s in self.samples)
+
+    def pool(self, splits, tracer) -> WorkerPool:
+        workers = self.boat_config.n_workers
+        backend = "thread" if workers != 1 else "serial"
+        return WorkerPool(workers, backend, tracer=tracer)
+
+    def cleanup(self, source: FlatSource, splits, pool, tracer, checkpoint) -> None:
+        config = self.boat_config
+        if self.oob:
+            self.oob_stores = [
+                TupleStore(
+                    self.schema, config.spill_threshold_rows, splits.spill_dir,
+                    splits.io,
+                )
+                for _ in self.plans
+            ]
+
+        def member_sink(m: int):
+            weights = self.plans[m].weights
+            skeleton = self.skeletons[m]
+            store = self.oob_stores[m] if self.oob_stores is not None else None
+
+            def sink(batch: np.ndarray, offset: int) -> None:
+                w = weights[offset : offset + len(batch)]
+                for chunk in expand_batch(batch, w, config.batch_rows):
+                    splits.stream(skeleton, chunk)
+                if store is not None:
+                    zero = w == 0
+                    if zero.any():
+                        store.append(batch[zero])
+
+            return sink
+
+        shared_cleanup_scan(
+            source.scan_table,
+            [member_sink(m) for m in range(len(self.plans))],
+            config.batch_rows,
+            pool=pool,
+            tracer=tracer,
+            labels=[f"member-{m}" for m in range(len(self.plans))],
+        )
+
+    def finalize(self, splits, pool) -> list:
+        finished = super().finalize(splits, pool)
+        for member, grown, (_, finalized) in zip(
+            self.report.members, self.grown, finished
+        ):
+            splits.record(member, grown, finalized)
+        return finished
+
+    def finish(self, tracer, phases) -> None:
+        """Out-of-bag scoring from the rows scan 2 kept: no extra scan."""
+        if self.oob_stores is None:
+            return
+        phases.start()
+        with tracer.span("oob", **self.span_attrs) as span:
+            report = self.report
+            _score_oob(self.forest(), self.plans, self.oob_stores, report, self.schema)
+            span.set(oob_error=report.oob_error, oob_coverage=report.oob_coverage)
+        phases.stop("oob")
+
+    def forest(self) -> DecisionForest:
+        seeds = [p.build_seed for p in self.plans]
+        return DecisionForest(self.schema, self.trees, member_seeds=seeds)
+
+
 def forest_build(
     table: Table,
     n_members: int,
@@ -216,7 +294,8 @@ def forest_build(
         boat_config: BOAT knobs.  ``seed`` roots the per-member
             SeedSequence spawn; ``n_workers`` fans members across threads
             during the shared cleanup scan (output is identical at any
-            worker count).
+            worker count).  A checkpoint or SQL pushdown is refused
+            (:func:`repro.core.pipeline.check_modes`).
         spill_dir: directory for temporary spill files.
         tracer: phase tracer (defaults per ``boat_config.trace``).
         oob: also compute the out-of-bag error estimate from the same
@@ -229,211 +308,27 @@ def forest_build(
     method = method or ImpuritySplitSelection(
         "gini", kernels=boat_config.kernel_backend
     )
-    quest_mode = isinstance(method, QuestSplitSelection)
-    schema = table.schema
     n = len(table)
     if n < 1:
         raise SplitSelectionError("cannot build a forest over an empty table")
-    io = table.io_stats
-    tracer = _resolve_tracer(tracer, boat_config, io)
-    kernels = get_kernels(boat_config.kernel_backend)
     report = ForestReport(table_size=n, n_members=n_members)
     plans = plan_members(boat_config.seed, n_members, n)
-    member_rngs = [np.random.default_rng(p.build_seed) for p in plans]
-    for plan in plans:
-        report.members.append(MemberReport(plan.index, plan.build_seed))
-
-    def phase(name: str, start: float, io_before: IOStats | None) -> None:
-        report.wall_seconds[name] = time.perf_counter() - start
-        if io is not None and io_before is not None:
-            report.io[name] = io.delta_since(io_before)
-
-    skeletons: list = []
-    try:
-        with tracer.span("forest_build", table_size=n, members=n_members):
-            # -- scan 1: shared sample gather ------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            with tracer.span(
-                "sample",
-                requested_rows=boat_config.sample_size,
-                members=n_members,
-            ) as sample_span:
-                samples = _gather_member_samples(
-                    table,
-                    plans,
-                    member_rngs,
-                    boat_config.sample_size,
-                    boat_config.batch_rows,
-                    schema,
-                )
-                sample_span.set(sample_rows=sum(len(s) for s in samples))
-            if boat_config.sample_size >= n:
-                # Every resample fits in memory (resamples have exactly n
-                # rows): the paper's in-memory switch, applied per member.
-                with tracer.span("in_memory_build"):
-                    members = []
-                    for m, sample in enumerate(samples):
-                        tree = build_reference_tree(
-                            sample, schema, method, split_config
-                        )
-                        members.append(tree)
-                        report.members[m].mode = "in-memory"
-                        report.members[m].tree_nodes = tree.n_nodes
-                phase("in_memory_build", t0, io_before)
-                report.mode = "in-memory"
-                forest = DecisionForest(
-                    schema, members, member_seeds=[p.build_seed for p in plans]
-                )
-                if tracer.enabled:
-                    report.trace = tracer.report()
-                return ForestResult(forest=forest, report=report)
-
-            # -- per-member sampling phases (in-memory, no scans) ----------
-            for m, (plan, sample, rng) in enumerate(
-                zip(plans, samples, member_rngs)
-            ):
-                if quest_mode:
-                    subsample = boat_config.bootstrap_subsample or len(sample)
-                    quest_report = QuestBoatReport(table_size=n)
-                    roots = []
-                    for _ in range(boat_config.bootstrap_repetitions):
-                        resample = bootstrap_resample(sample, subsample, rng)
-                        roots.append(
-                            build_reference_tree(
-                                resample, schema, method, split_config
-                            ).root
-                        )
-                    skeletons.append(
-                        _intersect(
-                            roots,
-                            schema,
-                            split_config,
-                            boat_config,
-                            spill_dir,
-                            io,
-                            itertools.count(),
-                            0,
-                            quest_report,
-                        )
-                    )
-                    report.members[m].quest = quest_report
-                else:
-                    result = sampling_phase(
-                        sample,
-                        schema,
-                        method,
-                        split_config,
-                        boat_config,
-                        plan.resample_rows,
-                        rng,
-                        spill_dir,
-                        io,
-                        tracer=tracer,
-                    )
-                    skeletons.append(result.root)
-                    report.members[m].sampling = result.report
-            phase("sampling", t0, io_before)
-
-            # -- scan 2: one shared cleanup scan for all members -----------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            oob_stores = (
-                [
-                    TupleStore(
-                        schema, boat_config.spill_threshold_rows, spill_dir, io
-                    )
-                    for _ in plans
-                ]
-                if oob
-                else None
-            )
-
-            def member_sink(m: int):
-                weights = plans[m].weights
-                skeleton = skeletons[m]
-                store = oob_stores[m] if oob_stores is not None else None
-
-                def sink(batch: np.ndarray, offset: int) -> None:
-                    w = weights[offset : offset + len(batch)]
-                    for chunk in expand_batch(
-                        batch, w, boat_config.batch_rows
-                    ):
-                        if quest_mode:
-                            _stream(skeleton, chunk, schema, kernels)
-                        else:
-                            stream_batch(
-                                skeleton, chunk, schema, sign=1, kernels=kernels
-                            )
-                    if store is not None:
-                        zero = w == 0
-                        if zero.any():
-                            store.append(batch[zero])
-
-                return sink
-
-            with WorkerPool(
-                boat_config.n_workers,
-                "thread" if boat_config.n_workers != 1 else "serial",
-                tracer=tracer,
-            ) as pool:
-                report.workers = pool.n_workers
-                shared_cleanup_scan(
-                    table,
-                    [member_sink(m) for m in range(n_members)],
-                    boat_config.batch_rows,
-                    pool=pool,
-                    tracer=tracer,
-                    labels=[f"member-{m}" for m in range(n_members)],
-                )
-            phase("cleanup_scan", t0, io_before)
-
-            # -- finalize per member ---------------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            members = []
-            with tracer.span("finalize", members=n_members):
-                for m in range(n_members):
-                    if quest_mode:
-                        finalizer = _QuestFinalizer(
-                            schema, method, split_config, report.members[m].quest
-                        )
-                        tree = finalizer.run(skeletons[m])
-                    else:
-                        tree, finalize_report = finalize_tree(
-                            skeletons[m], schema, method, split_config
-                        )
-                        report.members[m].finalize = finalize_report
-                    report.members[m].tree_nodes = tree.n_nodes
-                    members.append(tree)
-            phase("finalize", t0, io_before)
-            forest = DecisionForest(
-                schema, members, member_seeds=[p.build_seed for p in plans]
-            )
-
-            # -- out-of-bag scoring (no additional scans) ------------------
-            if oob_stores is not None:
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                with tracer.span("oob", members=n_members) as oob_span:
-                    _score_oob(forest, plans, oob_stores, report, schema)
-                    oob_span.set(
-                        oob_error=report.oob_error,
-                        oob_coverage=report.oob_coverage,
-                    )
-                phase("oob", t0, io_before)
-    except ReproError:
-        raise
-    except OSError as exc:
-        raise StorageError(
-            f"I/O failure during forest construction: {exc}"
-        ) from exc
-    finally:
-        for skeleton in skeletons:
-            skeleton.release()
-    if tracer.enabled:
-        report.trace = tracer.report()
-    return ForestResult(forest=forest, report=report)
+    report.members = [MemberReport(p.index, p.build_seed) for p in plans]
+    args = (method, table.schema, split_config, boat_config, table.io_stats, spill_dir)
+    if isinstance(method, QuestSplitSelection):
+        splits = QuestSplits(*args)
+    else:
+        # This module's binding, so per-module hooks see forest finalization.
+        splits = ImpuritySplits(*args, finalize=finalize_tree)
+    members = _ForestMembers(report, plans, boat_config, table.schema, oob)
+    run_pipeline(
+        FlatSource(table, boat_config), members, splits, split_config,
+        boat_config, span="forest_build", what="forest construction",
+        tracer=tracer, members=n_members,
+    )
+    for member, tree in zip(report.members, members.trees):
+        member.mode, member.tree_nodes = report.mode, tree.n_nodes
+    return ForestResult(forest=members.forest(), report=report)
 
 
 def _score_oob(

@@ -37,17 +37,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterator
 
-from ..storage.io_stats import IOStats
-
-#: Counter fields mirrored from :class:`IOStats`, in export order.
-COUNTER_FIELDS = (
-    "full_scans",
-    "tuples_read",
-    "tuples_written",
-    "bytes_read",
-    "bytes_written",
-    "spill_files",
-)
+from ..storage.io_stats import COUNTER_FIELDS, IOStats
 
 #: Schema version stamped on every exported span line.
 TRACE_SCHEMA_VERSION = 1
@@ -67,12 +57,7 @@ class Span:
         "name",
         "status",
         "wall_seconds",
-        "full_scans",
-        "tuples_read",
-        "tuples_written",
-        "bytes_read",
-        "bytes_written",
-        "spill_files",
+        *COUNTER_FIELDS,
         "attributes",
         "children",
         "_tracer",
@@ -84,12 +69,8 @@ class Span:
         self.name = name
         self.status = "open"
         self.wall_seconds = 0.0
-        self.full_scans = 0
-        self.tuples_read = 0
-        self.tuples_written = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.spill_files = 0
+        for counter in COUNTER_FIELDS:
+            setattr(self, counter, 0)
         self.attributes: dict[str, Any] = {}
         self.children: list[Span] = []
         self._tracer = tracer
@@ -130,13 +111,9 @@ class Span:
         self.attributes[key] = self.attributes.get(key, 0) + amount
 
     def add_io(self, stats: IOStats) -> None:
-        """Add an I/O delta's counters into this span."""
-        self.full_scans += stats.full_scans
-        self.tuples_read += stats.tuples_read
-        self.tuples_written += stats.tuples_written
-        self.bytes_read += stats.bytes_read
-        self.bytes_written += stats.bytes_written
-        self.spill_files += stats.spill_files
+        """Add an I/O delta's (or another span's) counters into this span."""
+        for counter in COUNTER_FIELDS:
+            setattr(self, counter, getattr(self, counter) + getattr(stats, counter))
 
     def merge(self, other: "Span") -> "Span":
         """Fold another span's counters into this one (returns ``self``).
@@ -147,12 +124,7 @@ class Span:
         any merge tree over the same spans yields the same totals.
         """
         self.wall_seconds += other.wall_seconds
-        self.full_scans += other.full_scans
-        self.tuples_read += other.tuples_read
-        self.tuples_written += other.tuples_written
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.spill_files += other.spill_files
+        self.add_io(other)
         for key, value in other.attributes.items():
             mine = self.attributes.get(key)
             if isinstance(value, (int, float)) and isinstance(mine, (int, float)):

@@ -30,8 +30,8 @@ from .checkpoint import (
     serialize_cleanup_state,
     serialize_skeleton,
 )
-from .resume import resume_build, wrap_retry
-from .retry import RetryingTable, RetryPolicy
+from .resume import check_resumable, resume_build
+from .retry import RetryingTable, RetryPolicy, wrap_retry
 
 __all__ = [
     "CheckpointManager",
@@ -39,6 +39,7 @@ __all__ = [
     "RetryPolicy",
     "RetryingTable",
     "build_digest",
+    "check_resumable",
     "load_checkpoint",
     "load_unit_results",
     "restore_cleanup_state",

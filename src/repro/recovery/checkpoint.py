@@ -469,14 +469,16 @@ class CheckpointManager:
         return meta
 
     def _sweep_stale(self) -> None:
+        """Remove every recovery file: skeleton, scan state, spills, units."""
         for name in (SKELETON_FILE, STATE_FILE, SHARD_STATE_FILE):
             try:
                 os.remove(os.path.join(self.directory, name))
             except FileNotFoundError:
                 pass
-        for name in os.listdir(self.spill_dir):
-            if name.endswith(".spill"):
-                os.remove(os.path.join(self.spill_dir, name))
+        if os.path.isdir(self.spill_dir):
+            for name in os.listdir(self.spill_dir):
+                if name.endswith(".spill"):
+                    os.remove(os.path.join(self.spill_dir, name))
         if os.path.isdir(self.units_dir):
             for name in os.listdir(self.units_dir):
                 if name.endswith(".pkl") or name.endswith(".tmp"):
@@ -580,17 +582,5 @@ class CheckpointManager:
         ``clear()`` (see :meth:`repro.storage.TupleStore.clear`) precisely
         so that this sweep is the single point where recovery state dies.
         """
-        for name in (SKELETON_FILE, STATE_FILE, SHARD_STATE_FILE):
-            try:
-                os.remove(os.path.join(self.directory, name))
-            except FileNotFoundError:
-                pass
-        if os.path.isdir(self.spill_dir):
-            for name in os.listdir(self.spill_dir):
-                if name.endswith(".spill"):
-                    os.remove(os.path.join(self.spill_dir, name))
-        if os.path.isdir(self.units_dir):
-            for name in os.listdir(self.units_dir):
-                if name.endswith(".pkl") or name.endswith(".tmp"):
-                    os.remove(os.path.join(self.units_dir, name))
+        self._sweep_stale()
         self._set_phase(PHASE_COMPLETE)

@@ -34,44 +34,52 @@ optimization that never changes the tree.
 
 from __future__ import annotations
 
-import time
+import os
 
 from ..config import BoatConfig, SplitConfig
-from ..core.boat import BoatReport, BoatResult
-from ..core.cleanup import cleanup_scan
 from ..core.finalize import finalize_tree
-from ..exceptions import RecoveryError, ReproError, StorageError
-from ..kernels import get_kernels
-from ..observability import NULL_TRACER, NullTracer, Tracer
-from ..parallel import WorkerPool
+from ..core.pipeline import BoatReport, BoatResult, FlatSource, build_tree
+from ..exceptions import RecoveryError
+from ..observability import NullTracer, Tracer
 from ..splits.methods import ImpuritySplitSelection
-from ..storage import IOStats, Schema, Table
+from ..storage import Schema, Table
 from .checkpoint import (
     PHASE_COMPLETE,
-    CheckpointManager,
+    CheckpointState,
     build_digest,
     load_checkpoint,
     restore_cleanup_state,
     restore_skeleton,
 )
-from .retry import RetryingTable, RetryPolicy
 
 
-def wrap_retry(
-    table: Table, boat_config: BoatConfig, tracer: Tracer | NullTracer
-) -> Table:
-    """Apply ``BoatConfig`` retry knobs to a table (identity when off)."""
-    if boat_config.scan_retries <= 0:
-        return table
-    return RetryingTable(
-        table,
-        RetryPolicy(
-            max_retries=boat_config.scan_retries,
-            base_delay_s=boat_config.scan_retry_base_delay_s,
-            max_delay_s=boat_config.scan_retry_max_delay_s,
-        ),
-        tracer=tracer,
-    )
+def check_resumable(
+    state: CheckpointState,
+    schema: Schema,
+    table_rows: int,
+    split_config: SplitConfig,
+    boat_config: BoatConfig,
+) -> None:
+    """Refuse a checkpoint that cannot finish *this* build's tree."""
+    if state.phase == PHASE_COMPLETE:
+        raise RecoveryError(
+            f"checkpoint {boat_config.checkpoint_dir} records a completed "
+            "build; nothing to resume"
+        )
+    if state.skeleton is None:
+        raise RecoveryError(
+            "the build died before its skeleton was checkpointed (sampling "
+            "phase); restart it from scratch — there is no state to save"
+        )
+    digest = build_digest(schema, table_rows, split_config, boat_config)
+    recorded = state.meta.get("config_digest")
+    if digest != recorded:
+        raise RecoveryError(
+            "configuration digest mismatch: the checkpoint was written under "
+            "a different schema/table/configuration than this resume "
+            f"(checkpoint {recorded}, resume {digest}); resuming would not "
+            "reproduce the original tree"
+        )
 
 
 def resume_build(
@@ -105,10 +113,6 @@ def resume_build(
             "resume_build requires BoatConfig.checkpoint_dir to name the "
             "checkpoint directory to resume from"
         )
-    io = table.io_stats
-    if tracer is None:
-        tracer = Tracer(io) if boat_config.trace else NULL_TRACER
-
     state = load_checkpoint(boat_config.checkpoint_dir)
     if state.sharded is not None:
         # A sharded coordinator wrote this checkpoint: hand off to the
@@ -119,106 +123,28 @@ def resume_build(
         return resume_sharded_build(
             table, method, split_config, boat_config, tracer=tracer
         )
-    if state.phase == PHASE_COMPLETE:
-        raise RecoveryError(
-            f"checkpoint {boat_config.checkpoint_dir} records a completed "
-            "build; nothing to resume"
-        )
-    if state.skeleton is None:
-        raise RecoveryError(
-            "the build died before its skeleton was checkpointed (sampling "
-            "phase); restart it from scratch — there is no state to save"
-        )
-    schema: Schema = table.schema
-    digest = build_digest(schema, len(table), split_config, boat_config)
-    recorded = state.meta.get("config_digest")
-    if digest != recorded:
-        raise RecoveryError(
-            "configuration digest mismatch: the checkpoint was written under "
-            "a different schema/table/configuration than this resume "
-            f"(checkpoint {recorded}, resume {digest}); resuming would not "
-            "reproduce the original tree"
-        )
+    schema = table.schema
+    check_resumable(state, schema, len(table), split_config, boat_config)
+    source = FlatSource(table, boat_config)
 
-    manager = CheckpointManager(
-        boat_config.checkpoint_dir, boat_config.checkpoint_every_batches, tracer
-    )
-    report = BoatReport(mode="boat", table_size=len(table))
-
-    def phase(name: str, start: float, io_before: IOStats | None) -> None:
-        report.wall_seconds[name] = time.perf_counter() - start
-        if io is not None and io_before is not None:
-            report.io[name] = io.delta_since(io_before)
-
-    root = None
-    try:
-        with tracer.span(
-            "boat_resume", table_size=len(table), checkpoint=manager.directory
-        ) as resume_span:
-            # -- restore ------------------------------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            root = restore_skeleton(
-                state.skeleton, schema, boat_config, io, manager.spill_dir
+    def restore(checkpoint, span):
+        root = restore_skeleton(
+            state.skeleton, schema, boat_config, table.io_stats,
+            checkpoint.spill_dir,
+        )
+        if state.cleanup is not None:
+            source.start_row = restore_cleanup_state(
+                root, state.cleanup, schema, boat_config, table.io_stats,
+                checkpoint.spill_dir,
             )
-            start_row = 0
-            if state.cleanup is not None:
-                start_row = restore_cleanup_state(
-                    root, state.cleanup, schema, boat_config, io, manager.spill_dir
-                )
-            resume_span.set(start_row=start_row)
-            phase("restore", t0, io_before)
+        span.set(start_row=source.start_row)
+        return root
 
-            # -- cleanup scan tail -------------------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            scan_table = wrap_retry(table, boat_config, tracer)
-            with WorkerPool(
-                boat_config.n_workers, "thread", tracer=tracer
-            ) as pool:
-                cleanup_scan(
-                    root,
-                    scan_table,
-                    schema,
-                    boat_config.batch_rows,
-                    pool,
-                    tracer=tracer,
-                    start_row=start_row,
-                    progress=manager.progress_hook(root),
-                    kernels=get_kernels(boat_config.kernel_backend),
-                )
-                phase("cleanup_scan", t0, io_before)
-                # The scan is fully accumulated: checkpoint it so a crash
-                # during finalization resumes with zero rows to re-read.
-                manager.checkpoint_cleanup(root, len(table))
-
-                # -- finalization --------------------------------------------
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                with tracer.span("finalize") as finalize_span:
-                    tree, finalize_report = finalize_tree(
-                        root, schema, method, split_config
-                    )
-                    finalize_span.set(
-                        confirmed_splits=finalize_report.confirmed_splits,
-                        frontier_completions=finalize_report.frontier_completions,
-                        rebuilds=finalize_report.rebuilds,
-                        tree_nodes=tree.n_nodes,
-                    )
-                report.finalize = finalize_report
-                phase("finalize", t0, io_before)
-                report.workers = pool.n_workers
-                report.parallel_backend = pool.backend
-    except ReproError:
-        raise
-    except OSError as exc:
-        raise StorageError(f"I/O failure during BOAT resume: {exc}") from exc
-    finally:
-        # Free memory either way; durable spill files stay on disk until
-        # finish() sweeps them, so a failed resume remains resumable.
-        if root is not None:
-            root.release()
-    manager.finish()
-    if tracer.enabled:
-        report.trace = tracer.report()
+    report = BoatReport(mode="boat", table_size=len(table))
+    tree = build_tree(
+        source, method, report, split_config, boat_config,
+        finalize=finalize_tree, span="boat_resume", what="BOAT resume",
+        tracer=tracer, restore=restore,
+        checkpoint=os.fspath(boat_config.checkpoint_dir),
+    )
     return BoatResult(tree=tree, report=report)

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..config import DEFAULT_BATCH_ROWS
+from ..config import DEFAULT_BATCH_ROWS, BoatConfig
 from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..storage import Table
 
@@ -177,3 +177,20 @@ class RetryingTable(Table):
             f"RetryingTable({self._inner!r}, retries={self.policy.max_retries}, "
             f"absorbed={self.retries_absorbed})"
         )
+
+
+def wrap_retry(
+    table: Table, boat_config: BoatConfig, tracer: Tracer | NullTracer
+) -> Table:
+    """Apply ``BoatConfig`` retry knobs to a table (identity when off)."""
+    if boat_config.scan_retries <= 0:
+        return table
+    return RetryingTable(
+        table,
+        RetryPolicy(
+            max_retries=boat_config.scan_retries,
+            base_delay_s=boat_config.scan_retry_base_delay_s,
+            max_delay_s=boat_config.scan_retry_max_delay_s,
+        ),
+        tracer=tracer,
+    )

@@ -41,26 +41,23 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
-from ..core.boat import BoatReport, make_build_pool
-from ..core.bootstrap import sampling_phase
-from ..core.finalize import finalize_tree, prefetch_frontier_subtrees
-from ..exceptions import ReproError, ShardError, StorageError
-from ..observability import NULL_TRACER, NullTracer, Tracer
-from ..recovery.checkpoint import (
-    CheckpointManager,
-    build_digest,
-    serialize_skeleton,
-)
+from ..core.pipeline import BoatReport, build_tree
+from ..exceptions import ShardError
+from ..observability import NullTracer, Tracer
+from ..recovery.checkpoint import serialize_skeleton
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import IOStats, ShardedTable, choose_sample_indices
-from ..tree import DecisionTree, build_reference_tree
-from .elastic import ElasticDispatcher, ElasticPolicy, whole_shard_units
+from ..tree import DecisionTree
+from .elastic import (
+    ElasticDispatcher,
+    ElasticPolicy,
+    whole_shard_units,
+)
 from .stats import ShardScanResult, ShardVerdict, merge_shard_stats
 from .transport import ShardTransport, make_transport
 from .worker import cleanup_request, sample_request
@@ -101,18 +98,6 @@ class ShardedBoatResult:
     shard_report: ShardReport
 
 
-def _resolve_tracer(
-    tracer: Tracer | NullTracer | None,
-    boat_config: BoatConfig,
-    io: IOStats | None,
-) -> Tracer | NullTracer:
-    if tracer is not None:
-        return tracer
-    if boat_config.trace:
-        return Tracer(io)
-    return NULL_TRACER
-
-
 def _shard_offsets(shard_rows: tuple[int, ...]) -> list[int]:
     offsets = [0]
     for rows in shard_rows:
@@ -120,64 +105,192 @@ def _shard_offsets(shard_rows: tuple[int, ...]) -> list[int]:
     return offsets
 
 
-class _PhaseAccountant:
-    """Folds per-shard worker I/O back into the experiment's counters.
+class ShardedSource:
+    """Both scans over a :class:`ShardedTable`, distributed to the shards.
 
-    Worker deltas merge three ways: into the experiment's shared instance
-    (``full_scans`` zeroed — the sharded table records one *logical* full
-    scan per phase), into the :class:`ShardedTable`'s per-shard private
-    counters, and into the build report's per-shard totals.
+    A fresh build dispatches one whole-shard cleanup unit per shard; a
+    resume passes its checkpointed ``(lo, hi, result)`` units as
+    ``restored`` and its restore step sets ``units`` to the complement.
     """
 
-    def __init__(self, table: ShardedTable, report: ShardReport):
-        self._experiment = table.io_stats
-        self._table_ios = table.shard_io_stats
-        self._report_ios = report.shard_io
+    #: Shard workers spill into scratch; the master skeleton keeps no
+    #: durable spill files.
+    durable_spill = False
 
-    def charge(self, shard_id: int, worker_io: IOStats) -> None:
-        delta = worker_io.snapshot()
-        self._table_ios[shard_id].merge(delta)
-        self._report_ios[shard_id].merge(delta)
-        if self._experiment is not None:
+    def __init__(
+        self, table: ShardedTable, boat_config: BoatConfig,
+        transport: ShardTransport | str, spill_dir: str | None,
+        shard_simulated_mbps: float | None, elastic: ElasticPolicy | None,
+        restored: list[tuple[int, int, ShardScanResult]] | None = None,
+    ):
+        manifest = table.manifest
+        self.table = table
+        self.boat_config = boat_config
+        self.policy = elastic if elastic is not None else ElasticPolicy()
+        self.offsets = _shard_offsets(manifest.shard_rows)
+        self.units = whole_shard_units(self.offsets)
+        self.restored = restored or []
+        self.report = ShardReport(
+            n_shards=manifest.n_shards,
+            transport=transport if isinstance(transport, str) else transport.name,
+            placement=manifest.placement,
+            shard_rows=manifest.shard_rows,
+            shard_io=[IOStats() for _ in range(manifest.n_shards)],
+            resumed=restored is not None,
+            restored_units=len(self.restored),
+        )
+        self.transport = transport
+        self._spill_dir = spill_dir
+        self._simulated_mbps = shard_simulated_mbps
+
+    def open(self, tracer: Tracer | NullTracer) -> None:
+        self.tracer = tracer
+        self._own_transport = isinstance(self.transport, str)
+        if self._own_transport:
+            self.transport = make_transport(self.transport, self.table.shard_paths)
+        self.scratch = tempfile.mkdtemp(prefix="boat-shard-", dir=self._spill_dir)
+
+    def close(self) -> None:
+        if self._own_transport:
+            self.transport.close()
+        # The scratch directory also holds whatever a killed local shard
+        # worker spilled before dying: sweeping it here is what makes the
+        # kill-one-shard drill leave zero spill files behind.
+        shutil.rmtree(self.scratch, ignore_errors=True)
+
+    def begin_checkpoint(self, checkpoint, digest: str) -> None:
+        manifest = self.table.manifest
+        checkpoint.begin_sharded(
+            self.table.schema, len(self.table), digest, manifest.placement,
+            manifest.schema_digest,
+        )
+
+    def _dispatch(self, units: list, requests: list[dict], on_result=None):
+        """Run one phase's units through the elastic dispatcher.
+
+        Verdicts and elastic counters land on the report even when
+        dispatch fails — a unit whose placements were all exhausted leaves
+        its ``ok=False`` verdict behind for the caller's diagnostics.
+        """
+        dispatcher = ElasticDispatcher(
+            units, self.transport, self.table.shard_paths,
+            self.table.replica_paths, self.policy, self.tracer,
+        )
+        try:
+            return dispatcher.run(requests, on_result=on_result)
+        finally:
+            report = self.report
+            report.verdicts.extend(dispatcher.verdicts)
+            report.failovers += dispatcher.failovers
+            report.speculative_launches += dispatcher.speculative_launches
+            report.duplicates_discarded += dispatcher.duplicates_discarded
+
+    def _charge(self, shard_id: int, rows: int, io: IOStats) -> None:
+        """Fold one shard scan's I/O into the counters and the trace.
+
+        The delta merges three ways: into the table's per-shard private
+        counters, into the report's per-shard totals, and into the
+        experiment's shared instance with ``full_scans`` zeroed — the
+        sharded table records one *logical* full scan per phase
+        (:meth:`_finish_phase`).
+        """
+        delta = io.snapshot()
+        self.table.shard_io_stats[shard_id].merge(delta)
+        self.report.shard_io[shard_id].merge(delta)
+        if self.table.io_stats is not None:
             delta.full_scans = 0
-            self._experiment.merge(delta)
+            self.table.io_stats.merge(delta)
+        if self.tracer.enabled:
+            span = self.tracer.worker_span("shard_scan", shard=shard_id, rows=rows)
+            span.add_io(io)
+            self.tracer.attach(span)
 
-    def finish_phase(self) -> None:
-        if self._experiment is not None:
-            self._experiment.record_full_scan()
+    def _finish_phase(self) -> None:
+        if self.table.io_stats is not None:
+            self.table.io_stats.record_full_scan()
 
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """The sampling-phase draw, executed shard-locally.
 
-def _dispatch(
-    units: list,
-    requests: list[dict],
-    transport: ShardTransport,
-    table: ShardedTable,
-    policy: ElasticPolicy,
-    tracer: Tracer | NullTracer,
-    shard_report: ShardReport,
-    on_result=None,
-) -> list[dict]:
-    """Run one phase's units through the elastic dispatcher.
+        Consumes the shared RNG exactly as
+        :func:`repro.storage.sample_known_size` would (one global draw, or
+        none at all when the sample covers the table), so the downstream
+        bootstrap sees an identical RNG stream.
+        """
+        config, manifest = self.boat_config, self.table.manifest
+        if config.sample_size <= 0:
+            return self.table.schema.empty(0)
+        chosen = choose_sample_indices(len(self.table), config.sample_size, rng)
+        requests = []
+        for shard_id in range(manifest.n_shards):
+            lo, hi = self.offsets[shard_id], self.offsets[shard_id + 1]
+            local = (
+                None if chosen is None else chosen[(chosen >= lo) & (chosen < hi)] - lo
+            )
+            requests.append(
+                sample_request(
+                    shard_id, local, config.batch_rows, manifest.schema_digest,
+                    manifest.shard_rows[shard_id],
+                )
+            )
+        parts = []
+        for response in self._dispatch(whole_shard_units(self.offsets), requests):
+            rows = response["rows"]
+            self._charge(response["shard_id"], len(rows), response["io"])
+            if len(rows):
+                parts.append(rows)
+        self._finish_phase()
+        if not parts:
+            return self.table.schema.empty(0)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    Verdicts and elastic counters land on the report even when dispatch
-    fails — a unit whose placements were all exhausted leaves its
-    ``ok=False`` verdict behind for the caller's diagnostics.
-    """
-    dispatcher = ElasticDispatcher(
-        units,
-        transport,
-        table.shard_paths,
-        table.replica_paths,
-        policy,
-        tracer,
-    )
-    try:
-        return dispatcher.run(requests, on_result=on_result)
-    finally:
-        shard_report.verdicts.extend(dispatcher.verdicts)
-        shard_report.failovers += dispatcher.failovers
-        shard_report.speculative_launches += dispatcher.speculative_launches
-        shard_report.duplicates_discarded += dispatcher.duplicates_discarded
+    def cleanup(self, root, splits, pool, checkpoint) -> None:
+        """Dispatch the units, then merge restored + fresh statistics."""
+        manifest, n, units = self.table.manifest, len(self.table), self.units
+        with self.tracer.span(
+            "shard_cleanup", shards=manifest.n_shards, units=len(units)
+        ):
+            skeleton = serialize_skeleton(root)
+            requests = [
+                cleanup_request(
+                    unit.shard_id, skeleton, self.boat_config,
+                    self.boat_config.batch_rows, manifest.schema_digest,
+                    manifest.shard_rows[unit.shard_id], spill_dir=self.scratch,
+                    simulated_mbps=self._simulated_mbps,
+                    start_row=unit.local_start, stop_row=unit.local_stop,
+                )
+                for unit in units
+            ]
+            on_result = None
+            if checkpoint is not None:
+
+                def on_result(index: int, response: dict) -> None:
+                    unit = units[index]
+                    checkpoint.checkpoint_unit(unit.lo, unit.hi, response["result"])
+
+            ordered = [(lo, result) for lo, _, result in self.restored]
+            responses = self._dispatch(units, requests, on_result)
+            for unit, response in zip(units, responses):
+                scan = response["result"]
+                ordered.append((unit.lo, scan))
+                self._charge(unit.shard_id, scan.rows_scanned, scan.io)
+            if not self.report.resumed:
+                self._finish_phase()
+            # Merge in global row order — under range placement exactly the
+            # flat scan order, so held and frontier rows concatenate
+            # byte-identically.
+            scans = [scan for _, scan in sorted(ordered, key=lambda pair: pair[0])]
+            scanned = sum(scan.rows_scanned for scan in scans)
+            if scanned != n:
+                raise ShardError(
+                    f"shards scanned {scanned} rows in total, expected {n}"
+                )
+            with self.tracer.span("merge", shards=len(scans)) as merge_span:
+                candidates = merge_shard_stats(root, scans)
+                self.report.candidate_counts = {
+                    node_id: int(values.size) for node_id, values in candidates.items()
+                }
+                merge_span.set(nodes_merged=sum(len(scan.nodes) for scan in scans))
 
 
 def sharded_boat_build(
@@ -222,266 +335,13 @@ def sharded_boat_build(
     """
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
-    rng = np.random.default_rng(boat_config.seed)
-    io = table.io_stats
-    schema = table.schema
-    manifest = table.manifest
-    n = len(table)
-    tracer = _resolve_tracer(tracer, boat_config, io)
-    report = BoatReport(mode="boat-sharded", table_size=n)
-    shard_report = ShardReport(
-        n_shards=manifest.n_shards,
-        transport=transport if isinstance(transport, str) else transport.name,
-        placement=manifest.placement,
-        shard_rows=manifest.shard_rows,
-        shard_io=[IOStats() for _ in range(manifest.n_shards)],
+    source = ShardedSource(
+        table, boat_config, transport, spill_dir, shard_simulated_mbps, elastic
     )
-    accountant = _PhaseAccountant(table, shard_report)
-    offsets = _shard_offsets(manifest.shard_rows)
-    digest = manifest.schema_digest
-    policy = elastic if elastic is not None else ElasticPolicy()
-    manager: CheckpointManager | None = None
-
-    own_transport = isinstance(transport, str)
-    if own_transport:
-        transport = make_transport(transport, table.shard_paths)
-    scratch = tempfile.mkdtemp(prefix="boat-shard-", dir=spill_dir)
-
-    def phase(name: str, start: float, io_before: IOStats | None) -> None:
-        report.wall_seconds[name] = time.perf_counter() - start
-        if io is not None and io_before is not None:
-            report.io[name] = io.delta_since(io_before)
-
-    result = None
-    try:
-        with tracer.span(
-            "sharded_build", table_size=n, shards=manifest.n_shards
-        ):
-            # -- sampling phase: distributed draw, central bootstrap -------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            with tracer.span(
-                "sample", requested_rows=boat_config.sample_size
-            ) as sample_span:
-                sample = _distributed_sample(
-                    table, boat_config, rng, offsets, digest,
-                    transport, accountant, shard_report, tracer, policy,
-                )
-                sample_span.set(sample_rows=len(sample))
-            if len(sample) >= n:
-                with tracer.span("in_memory_build"):
-                    tree = build_reference_tree(
-                        sample, schema, method, split_config
-                    )
-                phase("in_memory_build", t0, io_before)
-                report.mode = "in-memory"
-                if tracer.enabled:
-                    report.trace = tracer.report()
-                return ShardedBoatResult(tree, report, shard_report)
-            if boat_config.checkpoint_dir:
-                manager = CheckpointManager(
-                    boat_config.checkpoint_dir,
-                    boat_config.checkpoint_every_batches,
-                    tracer,
-                )
-                manager.begin_sharded(
-                    schema,
-                    n,
-                    build_digest(schema, n, split_config, boat_config),
-                    manifest.placement,
-                    digest,
-                )
-            with make_build_pool(
-                sample, schema, method, split_config, boat_config, tracer
-            ) as pool:
-                result = sampling_phase(
-                    sample,
-                    schema,
-                    method,
-                    split_config,
-                    boat_config,
-                    n,
-                    rng,
-                    spill_dir,
-                    io,
-                    pool=pool,
-                    tracer=tracer,
-                )
-                report.sampling = result.report
-                phase("sampling", t0, io_before)
-                if manager is not None:
-                    manager.save_skeleton(result.root)
-
-                # -- distributed cleanup scan + merge ----------------------
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                skeleton = serialize_skeleton(result.root)
-                with tracer.span(
-                    "shard_cleanup", shards=manifest.n_shards
-                ):
-                    units = whole_shard_units(offsets)
-                    requests = [
-                        cleanup_request(
-                            unit.shard_id,
-                            skeleton,
-                            boat_config,
-                            boat_config.batch_rows,
-                            digest,
-                            manifest.shard_rows[unit.shard_id],
-                            spill_dir=scratch,
-                            simulated_mbps=shard_simulated_mbps,
-                        )
-                        for unit in units
-                    ]
-                    on_result = None
-                    if manager is not None:
-
-                        def on_result(index: int, response: dict) -> None:
-                            unit = units[index]
-                            manager.checkpoint_unit(
-                                unit.lo, unit.hi, response["result"]
-                            )
-
-                    responses = _dispatch(
-                        units, requests, transport, table, policy,
-                        tracer, shard_report, on_result,
-                    )
-                    scans: list[ShardScanResult] = []
-                    for response in responses:
-                        scan = response["result"]
-                        scans.append(scan)
-                        accountant.charge(scan.shard_id, scan.io)
-                        if tracer.enabled:
-                            span = tracer.worker_span(
-                                "shard_scan",
-                                shard=scan.shard_id,
-                                rows=scan.rows_scanned,
-                            )
-                            span.add_io(scan.io)
-                            tracer.attach(span)
-                    accountant.finish_phase()
-                    scanned = sum(scan.rows_scanned for scan in scans)
-                    if scanned != n:
-                        raise ShardError(
-                            f"shards scanned {scanned} rows in total, "
-                            f"expected {n}"
-                        )
-                    with tracer.span("merge", shards=len(scans)) as merge_span:
-                        candidates = merge_shard_stats(result.root, scans)
-                        shard_report.candidate_counts = {
-                            node_id: int(values.size)
-                            for node_id, values in candidates.items()
-                        }
-                        merge_span.set(nodes_merged=sum(
-                            len(scan.nodes) for scan in scans
-                        ))
-                phase("cleanup_scan", t0, io_before)
-
-                # -- finalization (unchanged, exact) -----------------------
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                with tracer.span("finalize") as finalize_span:
-                    prefetch = prefetch_frontier_subtrees(
-                        result.root, schema, method, split_config, pool
-                    )
-                    tree, finalize_report = finalize_tree(
-                        result.root,
-                        schema,
-                        method,
-                        split_config,
-                        prefetch=prefetch,
-                    )
-                    finalize_span.set(
-                        confirmed_splits=finalize_report.confirmed_splits,
-                        frontier_completions=finalize_report.frontier_completions,
-                        rebuilds=finalize_report.rebuilds,
-                        tree_nodes=tree.n_nodes,
-                    )
-                report.finalize = finalize_report
-                phase("finalize", t0, io_before)
-                report.workers = pool.n_workers
-                report.parallel_backend = pool.backend
-    except ReproError:
-        raise
-    except OSError as exc:
-        raise StorageError(f"I/O failure during sharded build: {exc}") from exc
-    finally:
-        if result is not None:
-            result.root.release()
-        if own_transport:
-            transport.close()
-        # The scratch directory also holds whatever a killed local shard
-        # worker spilled before dying: sweeping it here is what makes the
-        # kill-one-shard drill leave zero spill files behind.
-        shutil.rmtree(scratch, ignore_errors=True)
-    if manager is not None:
-        # Only a fully-successful build consumes its checkpoint; a build
-        # that failed (even after retries) stays resumable.
-        manager.finish()
-    if tracer.enabled:
-        report.trace = tracer.report()
-    return ShardedBoatResult(tree, report, shard_report)
-
-
-def _distributed_sample(
-    table: ShardedTable,
-    boat_config: BoatConfig,
-    rng: np.random.Generator,
-    offsets: list[int],
-    digest: str,
-    transport: ShardTransport,
-    accountant: _PhaseAccountant,
-    shard_report: ShardReport,
-    tracer: Tracer | NullTracer,
-    policy: ElasticPolicy,
-) -> np.ndarray:
-    """The sampling-phase draw, executed shard-locally.
-
-    Consumes the shared RNG exactly as :func:`repro.storage.sample_known_size`
-    would (one global draw, or none at all when the sample covers the
-    table), so the downstream bootstrap sees an identical RNG stream.
-    """
-    k = boat_config.sample_size
-    n = len(table)
-    manifest = table.manifest
-    if k <= 0:
-        return table.schema.empty(0)
-    chosen = choose_sample_indices(n, k, rng)
-    requests = []
-    for shard_id in range(manifest.n_shards):
-        lo, hi = offsets[shard_id], offsets[shard_id + 1]
-        local = (
-            None
-            if chosen is None
-            else chosen[(chosen >= lo) & (chosen < hi)] - lo
-        )
-        requests.append(
-            sample_request(
-                shard_id,
-                local,
-                boat_config.batch_rows,
-                digest,
-                manifest.shard_rows[shard_id],
-            )
-        )
-    responses = _dispatch(
-        whole_shard_units(offsets), requests, transport, table,
-        policy, tracer, shard_report,
+    report = BoatReport(mode="boat-sharded", table_size=len(table))
+    tree = build_tree(
+        source, method, report, split_config, boat_config, spill_dir,
+        span="sharded_build", what="sharded build", tracer=tracer,
+        shards=table.manifest.n_shards,
     )
-    parts = []
-    for response in responses:
-        accountant.charge(response["shard_id"], response["io"])
-        if tracer.enabled:
-            span = tracer.worker_span(
-                "shard_scan",
-                shard=response["shard_id"],
-                rows=len(response["rows"]),
-            )
-            span.add_io(response["io"])
-            tracer.attach(span)
-        parts.append(response["rows"])
-    accountant.finish_phase()
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return table.schema.empty(0)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return ShardedBoatResult(tree, report, source.report)

@@ -44,9 +44,8 @@ re-scans a completed unit on resume.
 
 from __future__ import annotations
 
+import os
 import pickle
-import shutil
-import tempfile
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -58,23 +57,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..config import BoatConfig, SplitConfig
-from ..core.boat import BoatReport
-from ..core.finalize import finalize_tree
-from ..exceptions import RecoveryError, ReproError, ShardError, StorageError
+from ..core.pipeline import BoatReport, build_tree
+from ..exceptions import RecoveryError, ShardError
 from ..observability import NULL_TRACER, NullTracer, Tracer
-from ..recovery.checkpoint import (
-    PHASE_COMPLETE,
-    CheckpointManager,
-    build_digest,
-    load_checkpoint,
-    load_unit_results,
-    restore_skeleton,
-)
+from ..recovery.checkpoint import load_checkpoint, load_unit_results, restore_skeleton
+from ..recovery.resume import check_resumable
 from ..recovery.retry import RetryPolicy
 from ..splits.methods import ImpuritySplitSelection
-from ..storage import IOStats, ShardedTable
-from .stats import ShardScanResult, ShardVerdict, merge_shard_stats
-from .transport import ShardTransport, make_transport
+from ..storage import ShardedTable
+from .stats import ShardVerdict
+from .transport import ShardTransport
 from .worker import execute_shard_request
 
 #: Exceptions an attempt may raise that mean "delivery failed, the shard
@@ -565,13 +557,7 @@ def resume_sharded_build(
     diagnostics died with the original coordinator; frontier prefetch is
     skipped, as in the flat resume).
     """
-    from .coordinator import (
-        ShardedBoatResult,
-        ShardReport,
-        _PhaseAccountant,
-        _resolve_tracer,
-        _shard_offsets,
-    )
+    from .coordinator import ShardedBoatResult, ShardedSource
 
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
@@ -580,12 +566,9 @@ def resume_sharded_build(
             "resume_sharded_build requires BoatConfig.checkpoint_dir to "
             "name the checkpoint directory to resume from"
         )
-    io = table.io_stats
     schema = table.schema
     manifest = table.manifest
     n = len(table)
-    tracer = _resolve_tracer(tracer, boat_config, io)
-    policy = elastic or ElasticPolicy()
 
     state = load_checkpoint(boat_config.checkpoint_dir)
     if state.sharded is None:
@@ -593,25 +576,7 @@ def resume_sharded_build(
             f"checkpoint {boat_config.checkpoint_dir} records a flat "
             "(single-table) build; resume it with resume_build"
         )
-    if state.phase == PHASE_COMPLETE:
-        raise RecoveryError(
-            f"checkpoint {boat_config.checkpoint_dir} records a completed "
-            "build; nothing to resume"
-        )
-    if state.skeleton is None:
-        raise RecoveryError(
-            "the build died before its skeleton was checkpointed (sampling "
-            "phase); restart it from scratch — there is no state to save"
-        )
-    digest = build_digest(schema, n, split_config, boat_config)
-    recorded = state.meta.get("config_digest")
-    if digest != recorded:
-        raise RecoveryError(
-            "configuration digest mismatch: the checkpoint was written under "
-            "a different schema/table/configuration than this resume "
-            f"(checkpoint {recorded}, resume {digest}); resuming would not "
-            "reproduce the original tree"
-        )
+    check_resumable(state, schema, n, split_config, boat_config)
     sharded_meta = state.sharded
     if sharded_meta.get("total_rows") != n:
         raise RecoveryError(
@@ -638,196 +603,29 @@ def resume_sharded_build(
                 f"exceeds the {n}-row table"
             )
         cursor = hi
-
-    manager = CheckpointManager(
-        boat_config.checkpoint_dir, boat_config.checkpoint_every_batches, tracer
+    covered = [(lo, hi) for lo, hi, _ in restored]
+    source = ShardedSource(
+        table, boat_config, transport, spill_dir, shard_simulated_mbps,
+        elastic, restored,
     )
-    manager.restore_units([(lo, hi) for lo, hi, _ in restored])
+
+    def restore(checkpoint, span):
+        checkpoint.restore_units(covered)
+        root = restore_skeleton(
+            state.skeleton, schema, boat_config, table.io_stats,
+            durable_dir=None, spill_dir=source.scratch,
+        )
+        source.units = units_for_intervals(
+            uncovered_intervals(covered, n), source.offsets
+        )
+        span.set(restored_units=len(restored), fresh_units=len(source.units))
+        return root
 
     report = BoatReport(mode="boat-sharded", table_size=n)
-    shard_report = ShardReport(
-        n_shards=manifest.n_shards,
-        transport=transport if isinstance(transport, str) else transport.name,
-        placement=manifest.placement,
-        shard_rows=manifest.shard_rows,
-        shard_io=[IOStats() for _ in range(manifest.n_shards)],
-        resumed=True,
-        restored_units=len(restored),
+    tree = build_tree(
+        source, method, report, split_config, boat_config, spill_dir,
+        span="sharded_resume", what="sharded resume", tracer=tracer,
+        restore=restore, shards=manifest.n_shards,
+        checkpoint=os.fspath(boat_config.checkpoint_dir),
     )
-    accountant = _PhaseAccountant(table, shard_report)
-    offsets = _shard_offsets(manifest.shard_rows)
-
-    own_transport = isinstance(transport, str)
-    if own_transport:
-        transport = make_transport(transport, table.shard_paths)
-    scratch = tempfile.mkdtemp(prefix="boat-shard-", dir=spill_dir)
-
-    def phase(name: str, start: float, io_before: IOStats | None) -> None:
-        report.wall_seconds[name] = time.perf_counter() - start
-        if io is not None and io_before is not None:
-            report.io[name] = io.delta_since(io_before)
-
-    root = None
-    try:
-        with tracer.span(
-            "sharded_resume",
-            table_size=n,
-            shards=manifest.n_shards,
-            checkpoint=manager.directory,
-        ) as resume_span:
-            # -- restore ----------------------------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            root = restore_skeleton(
-                state.skeleton, schema, boat_config, io,
-                durable_dir=None, spill_dir=scratch,
-            )
-            intervals = uncovered_intervals(
-                [(lo, hi) for lo, hi, _ in restored], n
-            )
-            units = units_for_intervals(intervals, offsets)
-            resume_span.set(
-                restored_units=len(restored), fresh_units=len(units)
-            )
-            phase("restore", t0, io_before)
-
-            # -- elastic cleanup of the uncovered complement ----------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            with tracer.span(
-                "shard_cleanup", shards=manifest.n_shards, units=len(units)
-            ):
-                requests = [
-                    cleanup_request_for_unit(
-                        unit,
-                        state.skeleton,
-                        boat_config,
-                        manifest,
-                        scratch,
-                        shard_simulated_mbps,
-                    )
-                    for unit in units
-                ]
-                dispatcher = ElasticDispatcher(
-                    units,
-                    transport,
-                    table.shard_paths,
-                    table.replica_paths,
-                    policy,
-                    tracer,
-                )
-
-                def checkpoint_winner(index: int, response: dict) -> None:
-                    unit = units[index]
-                    manager.checkpoint_unit(
-                        unit.lo, unit.hi, response["result"]
-                    )
-
-                try:
-                    responses = dispatcher.run(
-                        requests, on_result=checkpoint_winner
-                    )
-                finally:
-                    shard_report.verdicts.extend(dispatcher.verdicts)
-                    shard_report.failovers += dispatcher.failovers
-                    shard_report.speculative_launches += (
-                        dispatcher.speculative_launches
-                    )
-                    shard_report.duplicates_discarded += (
-                        dispatcher.duplicates_discarded
-                    )
-                fresh: list[tuple[int, ShardScanResult]] = []
-                for unit, response in zip(units, responses):
-                    scan = response["result"]
-                    fresh.append((unit.lo, scan))
-                    accountant.charge(unit.shard_id, scan.io)
-                    if tracer.enabled:
-                        span = tracer.worker_span(
-                            "shard_scan",
-                            shard=unit.shard_id,
-                            rows=scan.rows_scanned,
-                        )
-                        span.add_io(scan.io)
-                        tracer.attach(span)
-                # Merge restored + fresh in global row order — under range
-                # placement this is exactly the flat scan order, so held
-                # and frontier rows concatenate byte-identically.
-                ordered = sorted(
-                    [(lo, result) for lo, hi, result in restored] + fresh,
-                    key=lambda pair: pair[0],
-                )
-                scans = [scan for _, scan in ordered]
-                scanned = sum(scan.rows_scanned for scan in scans)
-                if scanned != n:
-                    raise ShardError(
-                        f"restored and fresh units scanned {scanned} rows "
-                        f"in total, expected {n}"
-                    )
-                with tracer.span("merge", shards=len(scans)) as merge_span:
-                    candidates = merge_shard_stats(root, scans)
-                    shard_report.candidate_counts = {
-                        node_id: int(values.size)
-                        for node_id, values in candidates.items()
-                    }
-                    merge_span.set(
-                        nodes_merged=sum(len(scan.nodes) for scan in scans)
-                    )
-            phase("cleanup_scan", t0, io_before)
-
-            # -- finalization (no prefetch: the sample died with the
-            #    original coordinator, exactly as in the flat resume) -------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            with tracer.span("finalize") as finalize_span:
-                tree, finalize_report = finalize_tree(
-                    root, schema, method, split_config
-                )
-                finalize_span.set(
-                    confirmed_splits=finalize_report.confirmed_splits,
-                    frontier_completions=finalize_report.frontier_completions,
-                    rebuilds=finalize_report.rebuilds,
-                    tree_nodes=tree.n_nodes,
-                )
-            report.finalize = finalize_report
-            phase("finalize", t0, io_before)
-    except ReproError:
-        raise
-    except OSError as exc:
-        raise StorageError(
-            f"I/O failure during sharded resume: {exc}"
-        ) from exc
-    finally:
-        if root is not None:
-            root.release()
-        if own_transport:
-            transport.close()
-        shutil.rmtree(scratch, ignore_errors=True)
-    manager.finish()
-    if tracer.enabled:
-        report.trace = tracer.report()
-    return ShardedBoatResult(tree, report, shard_report)
-
-
-def cleanup_request_for_unit(
-    unit: WorkUnit,
-    skeleton: dict,
-    boat_config: BoatConfig,
-    manifest,
-    scratch: str,
-    shard_simulated_mbps: float | None,
-) -> dict:
-    """The cleanup request carrying one unit's shard-local row bounds."""
-    from .worker import cleanup_request
-
-    return cleanup_request(
-        unit.shard_id,
-        skeleton,
-        boat_config,
-        boat_config.batch_rows,
-        manifest.schema_digest,
-        manifest.shard_rows[unit.shard_id],
-        spill_dir=scratch,
-        simulated_mbps=shard_simulated_mbps,
-        start_row=unit.local_start,
-        stop_row=unit.local_stop,
-    )
+    return ShardedBoatResult(tree, report, source.report)

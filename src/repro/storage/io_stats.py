@@ -18,7 +18,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-_COUNTERS = (
+#: The counter fields, in export order (trace spans mirror them).
+COUNTER_FIELDS = (
     "full_scans",
     "tuples_read",
     "tuples_written",
@@ -132,17 +133,17 @@ class IOStats:
     def __getstate__(self) -> dict:
         # Locks cannot cross process boundaries; pickle the counters only.
         snap = self.snapshot()
-        return {name: getattr(snap, name) for name in _COUNTERS}
+        return {name: getattr(snap, name) for name in COUNTER_FIELDS}
 
     def __setstate__(self, state: dict) -> None:
-        for name in _COUNTERS:
+        for name in COUNTER_FIELDS:
             setattr(self, name, state[name])
         self._lock = threading.Lock()
 
     def as_dict(self) -> dict[str, int]:
         """An atomically consistent ``{counter: value}`` mapping."""
         snap = self.snapshot()
-        return {name: getattr(snap, name) for name in _COUNTERS}
+        return {name: getattr(snap, name) for name in COUNTER_FIELDS}
 
     def __str__(self) -> str:
         # One consistent snapshot, not six racy field reads.

@@ -4,7 +4,7 @@ The paper's warehouse scenario (§1, §7) assumes the training database is
 *computed*, not materialized — and in practice it is computed by a DBMS.
 :class:`SqlTable` implements the full :class:`~repro.storage.table.Table`
 contract over a relational table (stdlib ``sqlite3`` by default, with a
-narrow :class:`SqlDialect` seam for duckdb/postgres), so every driver in
+narrow :class:`SqlDialect` seam for other engines), so every driver in
 the repo — flat, checkpointed, retried, QUEST — trains straight out of
 the database.  :meth:`SqlTable.from_query` goes further: the "table" is
 an arbitrary ``SELECT`` (e.g. a star join), never materialized; BOAT
@@ -58,9 +58,8 @@ class SqlDialect:
 
     The base class is the portable core (``?`` placeholders, double-quoted
     identifiers, ANSI types); engine subclasses override only what
-    differs.  :class:`SqliteDialect` is the stdlib default;
-    :class:`DuckDbDialect` and :class:`PostgresDialect` are gated stubs
-    that document the seam without adding dependencies.
+    differs.  :class:`SqliteDialect` is the stdlib default and the only
+    engine registered here.
     """
 
     name = "ansi"
@@ -109,56 +108,8 @@ class SqliteDialect(SqlDialect):
         )
 
 
-class DuckDbDialect(SqlDialect):
-    """Seam stub: scans/pushdown are engine-agnostic, only connect differs."""
-
-    name = "duckdb"
-
-    def connect(self, path: str):
-        try:
-            import duckdb  # noqa: F401
-        except ImportError as exc:
-            raise StorageError(
-                "duckdb is not installed; the duckdb dialect is a seam "
-                "for environments that ship it (pass an open DB-API "
-                "connection to SqlTable instead of a path)"
-            ) from exc
-        import duckdb
-
-        return duckdb.connect(path)
-
-    def upsert_schema_sql(self, meta_table: str) -> str:
-        return (
-            f"INSERT OR REPLACE INTO {self.quote(meta_table)} "
-            "(table_name, schema_json) VALUES (?, ?)"
-        )
-
-
-class PostgresDialect(SqlDialect):
-    """Seam stub: postgres needs a server; connect via your own driver."""
-
-    name = "postgres"
-    placeholder = "%s"
-
-    def connect(self, path: str):
-        raise StorageError(
-            "the postgres dialect has no file-path connect; open a "
-            "connection with your driver and pass it to SqlTable"
-        )
-
-    def upsert_schema_sql(self, meta_table: str) -> str:
-        return (
-            f"INSERT INTO {self.quote(meta_table)} "
-            "(table_name, schema_json) VALUES (%s, %s) "
-            "ON CONFLICT (table_name) DO UPDATE "
-            "SET schema_json = EXCLUDED.schema_json"
-        )
-
-
 _DIALECTS: dict[str, type[SqlDialect]] = {
     "sqlite": SqliteDialect,
-    "duckdb": DuckDbDialect,
-    "postgres": PostgresDialect,
 }
 
 

@@ -251,15 +251,6 @@ class TestTableContract:
         with pytest.raises(StorageError, match="unknown SQL dialect"):
             get_dialect("oracle")
 
-    def test_gated_dialects_error_without_drivers(self):
-        with pytest.raises(StorageError):
-            get_dialect("postgres").connect("ignored")
-        try:
-            import duckdb  # noqa: F401
-        except ImportError:
-            with pytest.raises(StorageError, match="duckdb is not installed"):
-                get_dialect("duckdb").connect(":memory:")
-
 
 def fill_sql(schema, batch):
     table = SqlTable.create(":memory:", schema, io_stats=IOStats())
