@@ -45,6 +45,7 @@ import numpy as np
 
 from ..config import SplitConfig, config_at_depth
 from ..kernels import DEFAULT_KERNELS
+from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..parallel import WorkerPool
 from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.categorical import best_categorical_split_from_counts
@@ -97,6 +98,7 @@ class Finalizer:
         skeleton_rebuild: SkeletonRebuildFn | None = None,
         id_counter: Iterator[int] | None = None,
         prefetch: dict[int, Node] | None = None,
+        tracer: Tracer | NullTracer = NULL_TRACER,
     ):
         self._schema = schema
         self._method = method
@@ -107,6 +109,7 @@ class Finalizer:
         self._keep_state = keep_state
         self._skeleton_rebuild = skeleton_rebuild
         self._prefetch = prefetch or {}
+        self._tracer = tracer
         self._ids = id_counter if id_counter is not None else itertools.count()
         self._fresh_nodes: set[int] = set()
         self.report = FinalizeReport()
@@ -215,17 +218,28 @@ class Finalizer:
             self.report.leaves += 1
             return self._leaf(node.depth, counts)
         self.report.frontier_completions += 1
-        # A prefetched completion (built concurrently before this pass) is
-        # valid only when nothing was inherited from ancestors — exactly
-        # the eligibility rule of :func:`prefetch_frontier_subtrees`.
-        if len(inherited) == 0 and node.node_id in self._prefetch:
-            self.report.frontier_prefetch_hits += 1
-            return graft(self._prefetch.pop(node.node_id), node.depth, self._ids)
-        family = collect_family(node, inherited, self._schema)
-        sub = build_reference_tree(
-            family, self._schema, self._method, config_at_depth(self._config, node.depth)
-        )
-        return graft(sub.root, node.depth, self._ids)
+        with self._tracer.span(
+            "frontier_completion", node=node.node_id, depth=node.depth
+        ) as span:
+            # A prefetched completion (built concurrently before this pass)
+            # is valid only when nothing was inherited from ancestors —
+            # exactly the eligibility rule of :func:`prefetch_frontier_subtrees`.
+            if len(inherited) == 0 and node.node_id in self._prefetch:
+                self.report.frontier_prefetch_hits += 1
+                sub_root = self._prefetch.pop(node.node_id)
+                family_rows, hit = int(counts.sum()), True
+            else:
+                family = collect_family(node, inherited, self._schema)
+                sub_root = build_reference_tree(
+                    family, self._schema, self._method,
+                    config_at_depth(self._config, node.depth),
+                ).root
+                family_rows, hit = len(family), False
+            root = graft(sub_root, node.depth, self._ids)
+            span.set(
+                family_rows=family_rows, nodes=_count_nodes(root), prefetch_hit=hit
+            )
+        return root
 
     def _clone_subtree(self, root: Node) -> Node:
         """Structure-copy a cached subtree with fresh node ids.
@@ -249,6 +263,19 @@ class Finalizer:
         self.report.rebuild_reasons.append(
             f"node {node.node_id} (depth {node.depth}): {reason}"
         )
+        with self._tracer.span(
+            "rebuild", node=node.node_id, depth=node.depth, reason=reason
+        ) as span:
+            root, family_rows = self._rebuild_from_family(node, inherited, is_root)
+            span.set(
+                family_rows=family_rows, nodes=_count_nodes(root), prefetch_hit=False
+            )
+        return root
+
+    def _rebuild_from_family(
+        self, node: BoatNode, inherited: np.ndarray, is_root: bool
+    ) -> tuple[Node, int]:
+        """The rebuilt subtree and the size of the family it was built from."""
         if self._keep_state and self._skeleton_rebuild is not None:
             # Rebuild the skeleton from the subtree's *stores* only;
             # ancestor-held tuples stay at their ancestors and keep being
@@ -258,17 +285,18 @@ class Finalizer:
             # so rebuilding terminates even on pathological plateaus.
             force_frontier = node.node_id in self._fresh_nodes
             own_family = collect_family(node, self._schema.empty(0), self._schema)
-            self.report.rebuilt_tuples += len(own_family) + len(inherited)
+            family_rows = len(own_family) + len(inherited)
+            self.report.rebuilt_tuples += family_rows
             node.release()
             fresh = self._skeleton_rebuild(own_family, node.depth, force_frontier)
             self._fresh_nodes.update(sub.node_id for sub in fresh.nodes())
             self._swap_skeleton(node, fresh, is_root)
-            return self._finalize(fresh, inherited)
+            return self._finalize(fresh, inherited), family_rows
         family = collect_family(node, inherited, self._schema)
         self.report.rebuilt_tuples += len(family)
         node.release()
         rebuilt = self._rebuild(family, node.depth)
-        return graft(rebuilt, 0, self._ids)
+        return graft(rebuilt, 0, self._ids), len(family)
 
     def _swap_skeleton(self, old: BoatNode, fresh: BoatNode, is_root: bool) -> None:
         parent = old.parent
@@ -475,6 +503,10 @@ def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b])
 
 
+def _count_nodes(root: Node) -> int:
+    return sum(1 for _ in _preorder(root))
+
+
 def _preorder(root: Node) -> Iterator[Node]:
     stack = [root]
     while stack:
@@ -579,10 +611,17 @@ def finalize_tree(
     config: SplitConfig,
     rebuild: RebuildFn | None = None,
     prefetch: dict[int, Node] | None = None,
+    tracer: Tracer | NullTracer = NULL_TRACER,
 ) -> tuple[DecisionTree, FinalizeReport]:
-    """Run one static finalization pass over a populated skeleton."""
+    """Run one static finalization pass over a populated skeleton.
+
+    ``tracer`` records one ``frontier_completion`` / ``rebuild`` span per
+    in-memory build, under the caller's open ``finalize`` span.
+    """
     rebuild = rebuild or reference_rebuild(schema, method, config)
-    finalizer = Finalizer(schema, method, config, rebuild, prefetch=prefetch)
+    finalizer = Finalizer(
+        schema, method, config, rebuild, prefetch=prefetch, tracer=tracer
+    )
     tree = finalizer.run(root)
     tree.validate()
     return tree, finalizer.report

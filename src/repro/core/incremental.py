@@ -247,6 +247,7 @@ class IncrementalBoat:
             keep_state=True,
             skeleton_rebuild=self._grow_skeleton,
             id_counter=self._ids,
+            tracer=self.tracer,
         )
         with self.tracer.span("finalize") as span:
             self._tree = finalizer.run(self._skeleton)

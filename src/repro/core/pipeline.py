@@ -192,12 +192,13 @@ class ImpuritySplits(Splits):
     def stream(self, root, batch: np.ndarray) -> None:
         stream_batch(root, batch, self.schema, sign=1, kernels=self.kernels)
 
-    def finalize(self, root, grown, pool=None):
+    def finalize(self, root, grown, pool, tracer):
         prefetch = prefetch_frontier_subtrees(
             root, self.schema, self.method, self.split_config, pool
         )
         return self._finalize_tree(
-            root, self.schema, self.method, self.split_config, prefetch=prefetch
+            root, self.schema, self.method, self.split_config, prefetch=prefetch,
+            tracer=tracer,
         )
 
     @staticmethod
@@ -295,10 +296,10 @@ class Members:
             self.skeletons.append(root)
             self.grown.append(grown)
 
-    def finalize(self, splits, pool) -> list:
+    def finalize(self, splits, pool, tracer) -> list:
         pool = pool if self.context_pool else None
         finished = [
-            splits.finalize(root, grown, pool)
+            splits.finalize(root, grown, pool, tracer)
             for root, grown in zip(self.skeletons, self.grown)
         ]
         self.trees = [tree for tree, _ in finished]
@@ -436,7 +437,9 @@ def run_pipeline(
                     with tracer.span("finalize", **members.span_attrs) as fin:
                         # Frontier prefetch needs the pool's sample, which
                         # died with a resumed build's predecessor.
-                        done = members.finalize(splits, None if restore else pool)
+                        done = members.finalize(
+                            splits, None if restore else pool, tracer
+                        )
                         fin.set(
                             confirmed_splits=sum(r.confirmed_splits for _, r in done),
                             frontier_completions=sum(

@@ -34,7 +34,7 @@ import numpy as np
 from ..config import BoatConfig, SplitConfig
 from ..exceptions import SplitSelectionError
 from ..kernels import DEFAULT_KERNELS, KernelBackend
-from ..observability import TraceReport
+from ..observability import NullTracer, TraceReport, Tracer
 from ..parallel import WorkerPool
 from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.quest import QuestSplitSelection, QuestSufficientStats
@@ -216,11 +216,13 @@ class _QuestFinalizer:
         method: QuestSplitSelection,
         config: SplitConfig,
         report: QuestBoatReport,
+        tracer: Tracer | NullTracer,
     ):
         self._schema = schema
         self._method = method
         self._config = config
         self._report = report
+        self._tracer = tracer
         self._ids = itertools.count()
 
     def run(self, root: QuestBoatNode) -> DecisionTree:
@@ -235,7 +237,7 @@ class _QuestFinalizer:
         counts = stats.class_counts
         if node.is_frontier:
             self._report.frontier_completions += 1
-            return self._build_family(node, inherited)
+            return self._build_family("frontier_completion", node, inherited)
         if (
             int(counts.sum()) < self._config.min_samples_split
             or int(np.count_nonzero(counts)) <= 1
@@ -344,15 +346,21 @@ class _QuestFinalizer:
         self._report.rebuild_reasons.append(
             f"node {node.node_id} (depth {node.depth}): {reason}"
         )
-        subtree = self._build_family(node, inherited)
+        subtree = self._build_family("rebuild", node, inherited, reason=reason)
         node.release()
         return subtree
 
-    def _build_family(self, node: QuestBoatNode, inherited: np.ndarray) -> Node:
+    def _build_family(
+        self, span_name: str, node: QuestBoatNode, inherited: np.ndarray, **attrs
+    ) -> Node:
         """The reference QUEST subtree over the node's family, grafted in."""
-        family = collect_family(node, inherited, self._schema)
-        config = config_at_depth(self._config, node.depth)
-        sub = build_reference_tree(family, self._schema, self._method, config)
+        with self._tracer.span(
+            span_name, node=node.node_id, depth=node.depth, **attrs
+        ) as span:
+            family = collect_family(node, inherited, self._schema)
+            config = config_at_depth(self._config, node.depth)
+            sub = build_reference_tree(family, self._schema, self._method, config)
+            span.set(family_rows=len(family), nodes=sub.n_nodes, prefetch_hit=False)
         return graft(sub.root, node.depth, self._ids)
 
 
@@ -393,8 +401,10 @@ class QuestSplits(Splits):
     def stream(self, root: QuestBoatNode, batch: np.ndarray) -> None:
         _stream(root, batch, self.schema, self.kernels)
 
-    def finalize(self, root, grown: QuestBoatReport, pool=None):
-        finalizer = _QuestFinalizer(self.schema, self.method, self.split_config, grown)
+    def finalize(self, root, grown: QuestBoatReport, pool, tracer):
+        finalizer = _QuestFinalizer(
+            self.schema, self.method, self.split_config, grown, tracer
+        )
         return finalizer.run(root), grown
 
     @staticmethod

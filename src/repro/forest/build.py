@@ -248,8 +248,8 @@ class _ForestMembers(Members):
             labels=[f"member-{m}" for m in range(len(self.plans))],
         )
 
-    def finalize(self, splits, pool) -> list:
-        finished = super().finalize(splits, pool)
+    def finalize(self, splits, pool, tracer) -> list:
+        finished = super().finalize(splits, pool, tracer)
         for member, grown, (_, finalized) in zip(
             self.report.members, self.grown, finished
         ):

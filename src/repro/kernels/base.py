@@ -116,7 +116,21 @@ class KernelBackend(ABC):
         is its own candidate since NaN != NaN) and ``left_counts`` is the
         (m, k) int64 matrix of class counts among tuples with
         ``v <= candidate`` (cumulative counts at each distinct value's
-        last occurrence in the stable sort order).
+        last occurrence in the stable sort order).  Every backend defines
+        it as its stable argsort followed by :meth:`sorted_candidates`.
+        """
+
+    @abstractmethod
+    def sorted_candidates(
+        self, sorted_values: np.ndarray, sorted_labels: np.ndarray, n_classes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep half of :meth:`numeric_candidates`.
+
+        ``sorted_values`` must already be in stable ascending order (NaN
+        last) with ``sorted_labels`` aligned to it — the presorted
+        builder's per-node segments are.  Returns the same
+        ``(candidates, left_counts)`` pair as :meth:`numeric_candidates`
+        on any permutation that sorts stably to this order.
         """
 
     @abstractmethod

@@ -121,23 +121,27 @@ class PythonKernels(KernelBackend):
     def numeric_candidates(
         self, values: np.ndarray, labels: np.ndarray, n_classes: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(values)
+        order = np.asarray(_stable_sort_indices(values.tolist()), dtype=np.int64)
+        return self.sorted_candidates(values[order], labels[order], n_classes)
+
+    def sorted_candidates(
+        self, sorted_values: np.ndarray, sorted_labels: np.ndarray, n_classes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n = len(sorted_values)
         if n == 0:
             return (
                 np.empty(0, dtype=np.float64),
                 np.empty((0, n_classes), dtype=np.int64),
             )
-        vals = values.tolist()
-        labs = labels.tolist()
-        order = _stable_sort_indices(vals)
+        vals = sorted_values.tolist()
+        labs = sorted_labels.tolist()
         running = [0] * n_classes
         candidates: list[float] = []
         left_rows: list[list[int]] = []
-        for pos, i in enumerate(order):
-            running[labs[i]] += 1
-            v = vals[i]
-            is_last = pos + 1 == n or v != vals[order[pos + 1]]
-            if is_last:
+        for pos in range(n):
+            running[labs[pos]] += 1
+            v = vals[pos]
+            if pos + 1 == n or v != vals[pos + 1]:
                 candidates.append(v)
                 left_rows.append(list(running))
         return (
@@ -238,7 +242,7 @@ def _bisect_left(edges: list[float], value: float) -> int:
 
 
 def _gini_row(row: list[float], total: float) -> float:
-    """Gini of one count row, mirroring ``Gini._node_impurity_rows``.
+    """Gini of one count row, mirroring ``ImpurityMeasure._node_rows`` for Gini.
 
     Probabilities square via explicit multiplication (``p * p``, exactly
     numpy's ``np.square``) and accumulate left to right from 0.0 — the

@@ -4,9 +4,10 @@ Each kernel is the whole-batch array formulation of the corresponding
 per-row primitive in :mod:`repro.kernels.reference` — bincount for
 histograms, flattened bincount for contingency matrices, searchsorted for
 bucketing, stable argsort + per-class cumsum for the numeric candidate
-sweep.  These are the exact array expressions the cleanup scan and the
-reference builder historically inlined; centralizing them here makes the
-backend switch a pure dispatch decision with bit-identical results.
+sweep (``sorted_candidates`` is the sweep alone, for presorted input).
+These are the exact array expressions the cleanup scan and the reference
+builder historically inlined; centralizing them here makes the backend
+switch a pure dispatch decision with bit-identical results.
 """
 
 from __future__ import annotations
@@ -65,24 +66,32 @@ class NumpyKernels(KernelBackend):
     def numeric_candidates(
         self, values: np.ndarray, labels: np.ndarray, n_classes: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(values)
+        order = np.argsort(values, kind="stable")
+        return self.sorted_candidates(values[order], labels[order], n_classes)
+
+    def sorted_candidates(
+        self, sorted_values: np.ndarray, sorted_labels: np.ndarray, n_classes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        n = len(sorted_values)
         if n == 0:
             return (
                 np.empty(0, dtype=np.float64),
                 np.empty((0, n_classes), dtype=np.int64),
             )
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        sorted_labels = labels[order]
-        cum = np.zeros((n, n_classes), dtype=np.int64)
-        for c in range(n_classes):
-            np.cumsum(sorted_labels == c, out=cum[:, c])
         # Last occurrence of each distinct value is that value's candidate.
         is_last = np.empty(n, dtype=bool)
-        is_last[:-1] = sorted_values[:-1] != sorted_values[1:]
+        np.not_equal(sorted_values[:-1], sorted_values[1:], out=is_last[:-1])
         is_last[-1] = True
         boundary = np.flatnonzero(is_last)
-        return sorted_values[boundary], cum[boundary]
+        # Class-major left counts: the (m, k) result is a transposed view
+        # whose class columns are contiguous for the impurity sweep.
+        left = np.empty((n_classes, len(boundary)), dtype=np.int64)
+        for c in range(n_classes - 1):
+            left[c] = np.cumsum(sorted_labels == c)[boundary]
+        # The left side of candidate i holds boundary[i] + 1 tuples; the
+        # last class is whatever the other classes leave of them.
+        np.subtract(boundary + 1, left[:-1].sum(axis=0), out=left[-1])
+        return sorted_values[boundary], left.T
 
     def distinct_class_counts(
         self, values: np.ndarray, labels: np.ndarray, n_classes: int

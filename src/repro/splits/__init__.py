@@ -23,7 +23,13 @@ from .impurity import (
     get_impurity,
 )
 from .methods import ImpuritySplitSelection, get_method, sampled_search_rows
-from .numeric import NumericProfile, best_numeric_split, numeric_profile
+from .numeric import (
+    NumericProfile,
+    best_numeric_split,
+    numeric_profile,
+    sorted_numeric_profile,
+)
+from .presort import PresortedFamily
 from .quest import QuestSplitSelection, QuestSufficientStats
 
 __all__ = [
@@ -35,6 +41,7 @@ __all__ = [
     "InterclassVariance",
     "NumericProfile",
     "NumericSplit",
+    "PresortedFamily",
     "QuestSplitSelection",
     "QuestSufficientStats",
     "Split",
@@ -51,4 +58,5 @@ __all__ = [
     "majority_label",
     "numeric_profile",
     "sampled_search_rows",
+    "sorted_numeric_profile",
 ]

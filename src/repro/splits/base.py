@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import SplitConfig
 from ..exceptions import SplitSelectionError
-from ..storage import CLASS_COLUMN, Schema
+from ..storage import Schema
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,11 @@ class NumericSplit:
 
     def evaluate(self, batch: np.ndarray, schema: Schema) -> np.ndarray:
         """Boolean go-left mask for a batch."""
-        return batch[schema[self.attribute_index].name] <= self.value
+        return self.mask(batch[schema[self.attribute_index].name])
+
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        """Boolean go-left mask for the split attribute's column."""
+        return values <= self.value
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,10 @@ class CategoricalSplit:
 
     def evaluate(self, batch: np.ndarray, schema: Schema) -> np.ndarray:
         """Boolean go-left mask for a batch."""
-        codes = batch[schema[self.attribute_index].name]
+        return self.mask(batch[schema[self.attribute_index].name])
+
+    def mask(self, codes: np.ndarray) -> np.ndarray:
+        """Boolean go-left mask for the split attribute's column."""
         return np.isin(codes, sorted(self.subset))
 
 
@@ -131,11 +138,6 @@ class ImpurityBasedMethod(ABC):
     def choose_split(
         self, family: np.ndarray, schema: Schema, config: SplitConfig
     ) -> SplitDecision | None: ...
-
-    @staticmethod
-    def class_counts(family: np.ndarray, n_classes: int) -> np.ndarray:
-        """Integer class-count vector of a family."""
-        return np.bincount(family[CLASS_COLUMN], minlength=n_classes).astype(np.int64)
 
 
 def majority_label(class_counts: np.ndarray) -> int:

@@ -40,22 +40,79 @@ def _as_2d_float(counts: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: Below this many classes a row reduction accumulates column by column.
+#: numpy's pairwise summation adds fewer than 8 addends of a C-ordered row
+#: left to right from the first, so ``a[:, 0] + a[:, 1] + ...`` is
+#: bit-identical to ``a.sum(axis=1)`` there — and much faster on narrow
+#: (m, k) arrays.  From 8 classes on the row reduction of a C-ordered copy
+#: runs, whatever the input's memory layout.
+COLUMNWISE_MAX_CLASSES = 8
+
+
+def row_sums(counts: np.ndarray) -> np.ndarray:
+    """``counts.sum(axis=1)`` of a C-ordered (m, k) array, bit for bit.
+
+    Accumulates column by column when k < :data:`COLUMNWISE_MAX_CLASSES`
+    (the order numpy's row reduction uses there), else reduces the rows
+    of a C-ordered copy.
+    """
+    k = counts.shape[1]
+    if k >= COLUMNWISE_MAX_CLASSES or k == 0:
+        return np.ascontiguousarray(counts).sum(axis=1)
+    acc = counts[:, 0].copy()
+    for c in range(1, k):
+        acc += counts[:, c]
+    return acc
+
+
 class ImpurityMeasure(ABC):
-    """A concave impurity function evaluated from class counts."""
+    """A concave impurity function evaluated from class counts.
+
+    A measure is ``finish(sum_i term(p_i))`` over the class probabilities
+    of a node; subclasses define :meth:`_term` and :meth:`_finish`.
+    """
 
     #: Registry name (set by subclasses).
     name: str = ""
 
     @abstractmethod
-    def _node_impurity_rows(self, counts: np.ndarray) -> np.ndarray:
-        """Per-row impurity of a (m, k) float count matrix, in [0, ...].
+    def _term(self, p: np.ndarray) -> np.ndarray:
+        """Per-class term of the impurity sum, elementwise over ``p``.
 
-        Rows with zero total must map to 0.0.
+        May overwrite ``p`` (always a fresh temporary) and return it: on
+        wide sweeps a fresh temporary costs more in page faults than in
+        arithmetic, so the impurity path works in place throughout.
         """
+
+    @abstractmethod
+    def _finish(self, acc: np.ndarray, k: int) -> np.ndarray:
+        """Impurity from the summed terms of a k-class node (may overwrite
+        ``acc``)."""
+
+    def _node_rows(self, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        """Per-row impurity of a (m, k) float count matrix with row totals.
+
+        Rows with zero total map to 0.0.  The class sum runs column by
+        column below :data:`COLUMNWISE_MAX_CLASSES` (see :func:`row_sums`).
+        """
+        positive = totals > 0
+        safe = np.where(positive, totals, 1.0)
+        k = counts.shape[1]
+        if k < COLUMNWISE_MAX_CLASSES:
+            acc = self._term(counts[:, 0] / safe)
+            for c in range(1, k):
+                acc += self._term(counts[:, c] / safe)
+        else:
+            p = np.ascontiguousarray(counts) / safe[:, np.newaxis]
+            acc = self._term(p).sum(axis=1)
+        value = self._finish(acc, k)
+        value[~positive] = 0.0
+        return value
 
     def node_impurity(self, counts: np.ndarray) -> float:
         """Impurity of a single node from its 1-D class-count vector."""
-        return float(self._node_impurity_rows(_as_2d_float(counts))[0])
+        rows = _as_2d_float(counts)
+        return float(self._node_rows(rows, row_sums(rows))[0])
 
     def weighted(self, left_counts: np.ndarray, total_counts: np.ndarray) -> np.ndarray:
         """Weighted split impurity for candidate left-count rows.
@@ -82,12 +139,16 @@ class ImpurityMeasure(ABC):
         n = float(total.sum())
         if n <= 0:
             return np.zeros(left.shape[0], dtype=np.float64)
-        n_left = left.sum(axis=1)
-        n_right = right.sum(axis=1)
-        return (
-            n_left * self._node_impurity_rows(left)
-            + n_right * self._node_impurity_rows(right)
-        ) / n
+        n_left = row_sums(left)
+        n_right = row_sums(right)
+        # (n_L imp(L) + n_R imp(R)) / N, evaluated in place.
+        out = self._node_rows(left, n_left)
+        out *= n_left
+        weighted_right = self._node_rows(right, n_right)
+        weighted_right *= n_right
+        out += weighted_right
+        out /= n
+        return out
 
     def weighted_scalar(
         self, left_counts: np.ndarray, total_counts: np.ndarray
@@ -104,12 +165,11 @@ class Gini(ImpurityMeasure):
 
     name = "gini"
 
-    def _node_impurity_rows(self, counts: np.ndarray) -> np.ndarray:
-        totals = counts.sum(axis=1)
-        safe = np.where(totals > 0, totals, 1.0)
-        p = counts / safe[:, np.newaxis]
-        gini = 1.0 - np.square(p).sum(axis=1)
-        return np.where(totals > 0, gini, 0.0)
+    def _term(self, p: np.ndarray) -> np.ndarray:
+        return np.square(p, out=p)
+
+    def _finish(self, acc: np.ndarray, k: int) -> np.ndarray:
+        return np.subtract(1.0, acc, out=acc)
 
 
 class Entropy(ImpurityMeasure):
@@ -117,14 +177,15 @@ class Entropy(ImpurityMeasure):
 
     name = "entropy"
 
-    def _node_impurity_rows(self, counts: np.ndarray) -> np.ndarray:
-        totals = counts.sum(axis=1)
-        safe = np.where(totals > 0, totals, 1.0)
-        p = counts / safe[:, np.newaxis]
+    def _term(self, p: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0, p * np.log(p), 0.0)
-        ent = -terms.sum(axis=1)
-        return np.where(totals > 0, ent, 0.0)
+            terms = np.log(p)
+            terms *= p
+        terms[~(p > 0)] = 0.0
+        return terms
+
+    def _finish(self, acc: np.ndarray, k: int) -> np.ndarray:
+        return np.negative(acc, out=acc)
 
 
 class InterclassVariance(ImpurityMeasure):
@@ -138,13 +199,15 @@ class InterclassVariance(ImpurityMeasure):
 
     name = "interclass_variance"
 
-    def _node_impurity_rows(self, counts: np.ndarray) -> np.ndarray:
-        totals = counts.sum(axis=1)
-        safe = np.where(totals > 0, totals, 1.0)
-        p = counts / safe[:, np.newaxis]
-        k = counts.shape[1]
-        value = 2.0 * (p * (1.0 - p)).sum(axis=1) / k
-        return np.where(totals > 0, value, 0.0)
+    def _term(self, p: np.ndarray) -> np.ndarray:
+        spread = np.subtract(1.0, p)
+        spread *= p
+        return spread
+
+    def _finish(self, acc: np.ndarray, k: int) -> np.ndarray:
+        acc *= 2.0
+        acc /= k
+        return acc
 
 
 _REGISTRY: dict[str, ImpurityMeasure] = {

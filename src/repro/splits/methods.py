@@ -20,8 +20,8 @@ import numpy as np
 
 from ..config import SplitConfig
 from ..exceptions import SplitSelectionError
-from ..kernels import DEFAULT_KERNELS, KernelBackend, get_kernels
-from ..storage import CLASS_COLUMN, Schema
+from ..kernels import KernelBackend, get_kernels
+from ..storage import Schema
 from .base import (
     CategoricalSplit,
     ImpurityBasedMethod,
@@ -31,25 +31,23 @@ from .base import (
 )
 from .categorical import best_categorical_split
 from .impurity import ImpurityMeasure, get_impurity
-from .numeric import best_numeric_split
+from .numeric import sorted_numeric_profile
+from .presort import PresortedFamily, sample_positions
 
 
 def sampled_search_rows(family: np.ndarray, config: SplitConfig) -> np.ndarray:
     """The rows the candidate search runs on under ``split_sample_rows``.
 
-    A deterministic stride subsample: ``k`` row positions spread evenly
-    over the family, ``(np.arange(k) * n) // k``.  Strictly increasing
-    for ``k <= n``, a pure function of the family (no RNG to thread, no
-    hidden state), and every selected row is a member of the family — so
-    an admissible subsample split leaves both full-family children
-    non-empty and recursion still terminates.  Returns the family itself
-    when sampling is off or the family is already small enough.
+    The stride subsample at :func:`~repro.splits.presort.sample_positions`
+    of the family, or the family itself when sampling is off or the family
+    is already small enough — exactly the rows
+    :meth:`PresortedFamily.search_rows` searches for a node.
     """
     k = config.split_sample_rows
     n = len(family)
     if k is None or n <= k:
         return family
-    return family[(np.arange(k, dtype=np.int64) * n) // k]
+    return family[sample_positions(n, k)]
 
 
 class ImpuritySplitSelection(ImpurityBasedMethod):
@@ -84,33 +82,48 @@ class ImpuritySplitSelection(ImpurityBasedMethod):
         n = len(family)
         if n < config.min_samples_split:
             return None
-        family = sampled_search_rows(family, config)
-        counts = self._kernels.class_histogram(family[CLASS_COLUMN], schema.n_classes)
+        return self.choose_presorted(PresortedFamily(family, schema), 0, n, config)
+
+    def choose_presorted(
+        self, data: PresortedFamily, lo: int, hi: int, config: SplitConfig
+    ) -> SplitDecision | None:
+        """:meth:`choose_split` for the node owning segment ``[lo, hi)``.
+
+        Numeric attributes sweep their presorted segment (no per-node
+        sort); categorical attributes count the node's rows.
+        """
+        if hi - lo < config.min_samples_split:
+            return None
+        schema = data.schema
+        k = schema.n_classes
+        rows, orders = data.search_rows(lo, hi, config.split_sample_rows)
+        labels = data.labels[rows]
+        counts = self._kernels.class_histogram(labels, k)
         if np.count_nonzero(counts) <= 1:
             return None
         node_impurity = self._impurity.node_impurity(counts)
-        labels = family[CLASS_COLUMN]
         best: tuple[float, Split] | None = None
         for index, attr in enumerate(schema.attributes):
-            column = family[attr.name]
+            column = data.columns[index]
             if attr.is_numerical:
-                found = best_numeric_split(
-                    column,
-                    labels,
-                    schema.n_classes,
+                order = orders[index]
+                found = sorted_numeric_profile(
+                    column[order],
+                    data.labels[order],
+                    k,
                     self._impurity,
                     config.min_samples_leaf,
                     kernels=self._kernels,
-                )
+                ).best()
                 candidate: Split | None = (
                     None if found is None else NumericSplit(index, found[1])
                 )
             else:
                 found = best_categorical_split(
-                    column,
+                    column[rows],
                     labels,
                     attr.domain_size,
-                    schema.n_classes,
+                    k,
                     self._impurity,
                     config.min_samples_leaf,
                     config.max_categorical_exhaustive,

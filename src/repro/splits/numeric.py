@@ -4,7 +4,8 @@ Candidate split points are the *observed attribute values* of the node's
 family (predicate ``X <= x``), exactly as the paper defines
 ``imp_X(n, X, x)`` for ``x in dom(X)``.  Candidates leaving either child
 below ``min_samples_leaf`` are inadmissible (this also rules out the
-maximum value, whose right child would be empty).
+maximum value, whose right child would be empty), and so is a NaN value,
+which no tuple satisfies ``X <= NaN`` for.
 
 The search returns, besides the winning candidate, the full sorted
 candidate/impurity profile — BOAT's sampling phase uses it to place
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kernels import DEFAULT_KERNELS, KernelBackend
-from .impurity import ImpurityMeasure
+from .impurity import ImpurityMeasure, row_sums
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,8 @@ class NumericProfile:
             inadmissible ones — the discretizer needs the full profile).
         left_counts: (m, k) int64 — class counts of ``X <= candidate``.
         impurities: (m,) float64 — weighted impurity per candidate.
-        admissible: (m,) bool — candidates satisfying min_samples_leaf.
+        admissible: (m,) bool — non-NaN candidates satisfying
+            min_samples_leaf.
     """
 
     candidates: np.ndarray
@@ -86,25 +88,54 @@ def numeric_profile(
     finalization: ``values``/``labels`` then cover only the tuples held
     inside the confidence interval, ``base_left`` counts the family tuples
     strictly below the interval, and ``total_counts`` counts the whole
-    family.  With the defaults the profile covers the full family (the
-    reference builder's use).
+    family.  With the defaults the profile covers the full family.
     """
-    n = len(values)
-    if labels.shape != (n,):
+    if labels.shape != (len(values),):
         raise ValueError("values and labels must have equal length")
-    if base_left is None:
-        base_left = np.zeros(n_classes, dtype=np.int64)
-    else:
-        base_left = np.asarray(base_left, dtype=np.int64)
     candidates, cum_left = kernels.numeric_candidates(values, labels, n_classes)
-    if total_counts is None:
-        if n:
-            total_counts = base_left + cum_left[-1]
-        else:
-            total_counts = base_left.copy()
-    else:
-        total_counts = np.asarray(total_counts, dtype=np.int64)
-    if n == 0:
+    return _profile(
+        candidates, cum_left, n_classes, impurity, min_samples_leaf,
+        base_left, total_counts, kernels,
+    )
+
+
+def sorted_numeric_profile(
+    sorted_values: np.ndarray,
+    sorted_labels: np.ndarray,
+    n_classes: int,
+    impurity: ImpurityMeasure,
+    min_samples_leaf: int,
+    kernels: KernelBackend = DEFAULT_KERNELS,
+) -> NumericProfile:
+    """:func:`numeric_profile` of a family already in stable value order.
+
+    The presorted builder's search: the node's segment of an attribute's
+    presorted row ids yields ``sorted_values``/``sorted_labels`` directly,
+    so only the sweep (:meth:`KernelBackend.sorted_candidates`) runs.
+    """
+    if sorted_labels.shape != (len(sorted_values),):
+        raise ValueError("values and labels must have equal length")
+    candidates, cum_left = kernels.sorted_candidates(
+        sorted_values, sorted_labels, n_classes
+    )
+    return _profile(
+        candidates, cum_left, n_classes, impurity, min_samples_leaf,
+        None, None, kernels,
+    )
+
+
+def _profile(
+    candidates: np.ndarray,
+    cum_left: np.ndarray,
+    n_classes: int,
+    impurity: ImpurityMeasure,
+    min_samples_leaf: int,
+    base_left: np.ndarray | None,
+    total_counts: np.ndarray | None,
+    kernels: KernelBackend,
+) -> NumericProfile:
+    """Score the candidates of one sweep (shared by both profile entries)."""
+    if len(candidates) == 0:
         empty = np.empty(0)
         return NumericProfile(
             candidates=empty,
@@ -112,12 +143,23 @@ def numeric_profile(
             impurities=empty,
             admissible=np.empty(0, dtype=bool),
         )
-    left_counts = base_left[np.newaxis, :] + cum_left
+    if base_left is None:
+        left_counts = cum_left
+    else:
+        left_counts = np.asarray(base_left, dtype=np.int64)[np.newaxis, :] + cum_left
+    if total_counts is None:
+        total_counts = left_counts[-1]
+    else:
+        total_counts = np.asarray(total_counts, dtype=np.int64)
     impurities = kernels.weighted_impurity(impurity, left_counts, total_counts)
     n_total = int(total_counts.sum())
-    n_left = left_counts.sum(axis=1)
-    admissible = (n_left >= min_samples_leaf) & (
-        n_total - n_left >= min_samples_leaf
+    n_left = row_sums(left_counts)
+    # ``X <= NaN`` holds for no tuple, so a NaN candidate (NaN sorts last)
+    # would send the whole family right: it never splits.
+    admissible = (
+        (n_left >= min_samples_leaf)
+        & (n_total - n_left >= min_samples_leaf)
+        & ~np.isnan(candidates)
     )
     return NumericProfile(
         candidates=candidates,

@@ -1,6 +1,6 @@
 """Decision tree model, reference builder, comparison, rendering, serialization."""
 
-from .builder import build_reference_tree, class_counts, grow_subtree
+from .builder import build_reference_tree, class_counts
 from .compare import (
     TreeDifference,
     count_common_prefix_nodes,
@@ -34,7 +34,6 @@ __all__ = [
     "build_reference_tree",
     "class_counts",
     "count_common_prefix_nodes",
-    "grow_subtree",
     "render_tree",
     "tree_diff",
     "tree_from_dict",

@@ -258,6 +258,22 @@ class TestDegenerateInputs:
         )
         assert result.tree.n_nodes == 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nan_dense_attribute(self, small_schema, seed):
+        """NaN never splits (``X <= NaN`` holds for no tuple), and BOAT
+        holds NaN tuples at the node for exact in-memory resolution."""
+        rng = np.random.default_rng(seed)
+        data = simple_xy_data(small_schema, 3000, seed=seed, rule="xy")
+        data["x"] = np.where(rng.random(3000) < 0.3, np.nan, data["x"].round())
+        result = assert_boat_exact(
+            data,
+            small_schema,
+            GINI,
+            SplitConfig(min_samples_split=30, min_samples_leaf=8),
+            BoatConfig(sample_size=800, bootstrap_repetitions=5, seed=seed),
+        )
+        assert result.tree.n_nodes > 1
+
 
 def _schema():
     from repro.storage import Attribute, Schema

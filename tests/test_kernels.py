@@ -281,3 +281,75 @@ def test_signed_zero_grouping():
     p_distinct, p_counts = PYTHON.distinct_class_counts(values, labels, K)
     _same_bytes(n_distinct, p_distinct)
     np.testing.assert_array_equal(n_counts, p_counts)
+
+
+# -- the presorted sweep and the column-wise impurity rule ---------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=value_label_batch())
+def test_sorted_candidates_is_the_sweep_of_numeric_candidates(batch):
+    values, labels = batch
+    order = np.argsort(values, kind="stable")
+    want_candidates, want_cum = NUMPY.numeric_candidates(values, labels, K)
+    for kernels in (NUMPY, PYTHON):
+        candidates, cum = kernels.sorted_candidates(values[order], labels[order], K)
+        _same_bytes(candidates, want_candidates)
+        _same_bytes(np.ascontiguousarray(cum), np.ascontiguousarray(want_cum))
+
+
+def _row_form_weighted(measure: str, left: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``ImpurityMeasure.weighted`` as (m, k) row reductions over C-ordered
+    arrays (the old form; numpy sums an F-ordered row in another order)."""
+    left = np.ascontiguousarray(left, dtype=np.float64)
+    total = np.asarray(total, dtype=np.float64)
+    right = total[np.newaxis, :] - left
+    n = float(total.sum())
+    if n <= 0:
+        return np.zeros(left.shape[0])
+
+    def rows(counts: np.ndarray) -> np.ndarray:
+        totals = counts.sum(axis=1)
+        p = counts / np.where(totals > 0, totals, 1.0)[:, np.newaxis]
+        if measure == "gini":
+            value = 1.0 - np.square(p).sum(axis=1)
+        elif measure == "entropy":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = -np.where(p > 0, p * np.log(p), 0.0).sum(axis=1)
+        else:
+            value = 2.0 * (p * (1.0 - p)).sum(axis=1) / counts.shape[1]
+        return np.where(totals > 0, value, 0.0)
+
+    return (
+        left.sum(axis=1) * rows(left) + right.sum(axis=1) * rows(right)
+    ) / n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 10),
+    data=st.data(),
+    measure=st.sampled_from(["gini", "entropy", "interclass_variance"]),
+)
+def test_columnwise_weighted_matches_row_reduction(k, data, measure):
+    """Below 8 classes ``weighted`` sums class terms column by column; that
+    must be bit-identical to numpy's row reduction (and is the form kept
+    at k >= 8)."""
+    total = np.asarray(
+        data.draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k)),
+        dtype=np.int64,
+    )
+    m = data.draw(st.integers(1, 12))
+    fractions = np.asarray(
+        data.draw(st.lists(st.floats(0, 1), min_size=m * k, max_size=m * k))
+    ).reshape(m, k)
+    left = np.floor(fractions * total).astype(np.int64)
+    if data.draw(st.booleans()):
+        left = np.asfortranarray(left)  # the sweep's class-major layout
+    impurity = get_impurity(measure)
+    want = _row_form_weighted(measure, left, total)
+    _same_bytes(impurity.weighted(left, total), want)
+    for kernels in (NUMPY, PYTHON):
+        _same_bytes(
+            np.asarray(kernels.weighted_impurity(impurity, left, total)), want
+        )

@@ -306,6 +306,30 @@ class TestBuildIntegration:
             assert trace.find(phase) is not None, phase
         assert trace.total("full_scans") == 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finalize_has_one_span_per_in_memory_build(
+        self, small_schema, gini_method, default_split_config, workers
+    ):
+        data = simple_xy_data(small_schema, 6000, seed=2, rule="xy")
+        table = MemoryTable(small_schema, data, io_stats=IOStats())
+        config = BoatConfig(
+            sample_size=500, bootstrap_repetitions=4, seed=3, trace=True,
+            n_workers=workers, parallel_backend="thread",
+        )
+        result = boat_build(table, gini_method, default_split_config, config)
+        finalized = result.report.finalize
+        children = result.report.trace.find("finalize").children
+        completions = [c for c in children if c.name == "frontier_completion"]
+        rebuilds = [c for c in children if c.name == "rebuild"]
+        assert len(completions) == finalized.frontier_completions > 0
+        assert len(rebuilds) == finalized.rebuilds
+        assert len(completions) + len(rebuilds) == len(children)
+        hits = [c.attributes["prefetch_hit"] for c in completions]
+        assert sum(hits) == finalized.frontier_prefetch_hits
+        for span in completions + rebuilds:
+            assert span.attributes["family_rows"] > 0
+            assert span.attributes["nodes"] >= 1
+
     def test_trace_off_by_default(
         self, small_schema, gini_method, default_split_config
     ):
