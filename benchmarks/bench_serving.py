@@ -1,29 +1,46 @@
 """Serving-path benchmarks: compiled kernel vs recursive routing, batcher latency.
 
-Two experiments:
+Four experiments:
 
 * **Compiled predictor throughput** — one 1M-row batch (scaled by
   ``REPRO_BENCH_SCALE``) pushed through the recursive ``Node`` walk and
   the compiled array kernel.  The outputs are asserted identical; at
   full scale the compiled path must clear the 3x acceptance floor.
 
+* **Small batches** — the same two paths at 1, 16 and 256 rows, the
+  sizes a serving request carries; the median per-call time of each is
+  recorded.  The compiled kernel visits only the nodes a batch reaches,
+  so its cost follows the batch, not the tree size.
+
 * **Batcher latency** — a stream of small requests through the
   :class:`~repro.serve.RequestBatcher`; the recorded row carries the
   p50/p99 latency summary the serving layer reports.
 
-Both series are appended to ``bench_results.jsonl`` by the shared
+* **HTTP keep-alive closed loop** — 16-row ``POST /predict`` requests
+  sent one after another on one ``http.client`` connection to a
+  :class:`~repro.serve.PredictionServer`; p50 and requests/s.
+
+Every series is appended to ``bench_results.jsonl`` by the shared
 collector.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import statistics
 import time
 
 import numpy as np
 
 from repro.bench import RunResult, WorkloadSpec, scaled
 from repro.config import SplitConfig
-from repro.serve import ModelRegistry, RequestBatcher, ServeConfig
+from repro.serve import (
+    ModelRegistry,
+    PredictionServer,
+    RequestBatcher,
+    ServeConfig,
+)
 from repro.splits import ImpuritySplitSelection
 from repro.tree import build_reference_tree
 
@@ -106,6 +123,103 @@ def test_compiled_vs_recursive_throughput(collector):
         assert speedup >= 3.0, (
             f"compiled predictor {speedup:.2f}x below the 3x acceptance floor"
         )
+
+
+def _median_call_s(fn, batch, reps: int) -> tuple[float, float]:
+    """(median, total) seconds of ``reps`` timed ``fn(batch)`` calls."""
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn(batch)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), sum(times)
+
+
+def test_compiled_vs_recursive_small_batches(collector):
+    generator, tree = _build_model()
+    predictor = tree.compile()
+    experiment = "Serving: compiled vs recursive routing by batch size"
+    for size in (1, 16, 256):
+        batch = generator.generate(size)
+        assert np.array_equal(predictor.predict(batch), tree.predict(batch))
+        reps = max(2048 // size, 50)
+        recursive_s, recursive_total = _median_call_s(tree.predict, batch, reps)
+        compiled_s, compiled_total = _median_call_s(
+            predictor.predict, batch, reps
+        )
+        speedup = recursive_s / max(compiled_s, 1e-12)
+        print(
+            f"\n{size:>3}-row batch through {tree.n_nodes} nodes: "
+            f"recursive {recursive_s * 1e3:.3f}ms, "
+            f"compiled {compiled_s * 1e3:.3f}ms -> {speedup:.2f}x"
+        )
+        collector.add(
+            experiment,
+            "batch rows",
+            size,
+            _result("Recursive-route", tree, recursive_total, size * reps,
+                    p50_ms=recursive_s * 1e3, calls=float(reps)),
+        )
+        collector.add(
+            experiment,
+            "batch rows",
+            size,
+            _result("Compiled-route", tree, compiled_total, size * reps,
+                    p50_ms=compiled_s * 1e3, calls=float(reps),
+                    speedup=speedup),
+        )
+
+
+def test_http_keep_alive_closed_loop(collector):
+    generator, tree = _build_model()
+    registry = ModelRegistry()
+    registry.publish(tree)
+    request_rows = 16
+    n_requests = max(scaled(200_000) // 1000, 50)
+    requests = generator.generate(request_rows * n_requests)
+    names = [a.name for a in tree.schema]
+    expected = tree.predict(requests)
+    config = ServeConfig(max_delay_ms=1.0)
+    latencies = []
+    with PredictionServer(registry, config, port=0) as server:
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            start = time.perf_counter()
+            for i in range(n_requests):
+                lo, hi = i * request_rows, (i + 1) * request_rows
+                body = json.dumps({"records": [
+                    [float(row[name]) for name in names]
+                    for row in requests[lo:hi]
+                ]}).encode("utf-8")
+                sent = time.perf_counter()
+                conn.request("POST", "/predict", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                labels = json.loads(response.read())["labels"]
+                latencies.append(time.perf_counter() - sent)
+                assert labels == [int(v) for v in expected[lo:hi]]
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+    p50_ms = statistics.median(latencies) * 1e3
+    requests_per_s = n_requests / elapsed
+    print(
+        f"\nHTTP keep-alive: {n_requests} x {request_rows}-row requests on "
+        f"one connection, p50 {p50_ms:.2f}ms, {requests_per_s:,.0f} req/s"
+    )
+    collector.add(
+        "Serving: HTTP keep-alive closed loop (16-row requests)",
+        "path",
+        "http",
+        _result(
+            "HTTP-keep-alive",
+            tree,
+            elapsed,
+            request_rows * n_requests,
+            p50_ms=p50_ms,
+            requests_per_s=requests_per_s,
+        ),
+    )
 
 
 def test_batcher_latency(collector):

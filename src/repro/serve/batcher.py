@@ -30,6 +30,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ import numpy as np
 from ..exceptions import ServeError
 from ..observability import NULL_TRACER, NullTracer, Tracer, latency_summary
 from .registry import ModelRegistry
+
+#: Samples each ``stats()`` summary keeps: the most recent requests (or
+#: batches).  Counts stay cumulative; the window bounds the memory of a
+#: long-lived server.
+STATS_WINDOW = 10_000
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,12 @@ class RequestBatcher:
         self._rows_lock = threading.Lock()
         self._closed = False
         self._thread: threading.Thread | None = None
-        # statistics (dispatcher-thread writes, stats() snapshots)
-        self._latencies: list[float] = []
+        # statistics (dispatcher-thread writes, stats() snapshots under
+        # _stats_lock: copying a deque while it is appended to can raise)
+        self._stats_lock = threading.Lock()
+        self._latencies: deque[float] = deque(maxlen=STATS_WINDOW)
+        self._queue_waits: deque[float] = deque(maxlen=STATS_WINDOW)
+        self._predict_times: deque[float] = deque(maxlen=STATS_WINDOW)
         self._n_requests = 0
         self._n_rows = 0
         self._n_batches = 0
@@ -233,17 +243,36 @@ class RequestBatcher:
         return self.submit(rows, proba, timeout).result()
 
     def stats(self) -> dict:
-        """Cumulative serving statistics, including a latency summary."""
-        return {
-            "requests": self._n_requests,
-            "batches": self._n_batches,
-            "rows": self._n_rows,
-            "timeouts": self._n_timeouts,
-            "rejected": self._n_rejected,
-            "queued_rows": self._queued_rows,
-            "model_version": self.registry.version,
-            "latency": latency_summary(list(self._latencies)),
-        }
+        """Cumulative serving statistics with per-stage latency summaries.
+
+        ``latency`` is each request's submit-to-result time, split into
+        ``queue_wait`` (submit until its batch is dispatched, coalescing
+        delay included) and ``predict`` (one sample per batch: timeout
+        checks, the registry snapshot, concatenation and kernel call).
+        Percentiles cover the last :data:`STATS_WINDOW` samples; every
+        ``count`` is cumulative.
+        """
+        with self._stats_lock:
+            requests, batches = self._n_requests, self._n_batches
+            latencies = list(self._latencies)
+            queue_waits = list(self._queue_waits)
+            predict_times = list(self._predict_times)
+            stats = {
+                "requests": requests,
+                "batches": batches,
+                "rows": self._n_rows,
+                "timeouts": self._n_timeouts,
+                "rejected": self._n_rejected,
+            }
+        stats["queued_rows"] = self._queued_rows
+        stats["model_version"] = self.registry.version
+        for key, sample, count in (
+            ("latency", latencies, requests),
+            ("queue_wait", queue_waits, requests),
+            ("predict", predict_times, batches),
+        ):
+            stats[key] = dict(latency_summary(sample), count=count)
+        return stats
 
     # -- dispatcher side ---------------------------------------------------------
 
@@ -337,10 +366,14 @@ class RequestBatcher:
                 ticket._resolve(model.predictor.leaf_label[leaf[offset:end]],
                                 model.version)
             offset = end
-            self._latencies.append(finished - ticket.enqueued)
-        self._n_requests += len(live)
-        self._n_rows += len(rows)
-        self._n_batches += 1
+        with self._stats_lock:
+            for ticket in live:
+                self._latencies.append(finished - ticket.enqueued)
+                self._queue_waits.append(started - ticket.enqueued)
+            self._predict_times.append(finished - started)
+            self._n_requests += len(live)
+            self._n_rows += len(rows)
+            self._n_batches += 1
         if self._serve_span is not None:
             span = self.tracer.worker_span(
                 "serve_batch",

@@ -188,7 +188,10 @@ class CompiledPredictor:
         An explicit work stack of ``(node row, record indices)`` pairs
         partitions the batch over the flattened arrays — no ``Node``
         objects, one contiguous single-column gather and compare per
-        visited node.  Columns are extracted lazily (contiguous float64)
+        visited node.  Only nodes that some record reaches are visited:
+        the cost follows the batch's paths (at most ``n x depth`` nodes),
+        not ``n_nodes``, so a 1-row predict touches one root-to-leaf
+        path.  Columns are extracted lazily (contiguous float64)
         the first time a split touches them, so trees that ignore an
         attribute never pay for it.
         """
@@ -230,8 +233,16 @@ class CompiledPredictor:
                 in_domain = (codes >= 0) & (codes < width)
                 safe = np.where(in_domain, codes, 0)
                 go_left = in_domain & cat_flat.take(sid * width + safe)
-            stack.append((int(left[node]), indices[go_left]))
-            stack.append((int(right[node]), indices[~go_left]))
+            # Push a child only when some record reaches it, so a batch of
+            # n rows visits at most n x depth nodes, not all n_nodes.
+            n_left = int(np.count_nonzero(go_left))
+            if n_left == len(indices):
+                stack.append((int(left[node]), indices))
+            elif n_left == 0:
+                stack.append((int(right[node]), indices))
+            else:
+                stack.append((int(left[node]), indices[go_left]))
+                stack.append((int(right[node]), indices[~go_left]))
         return out
 
     # -- user-facing predictions ---------------------------------------------

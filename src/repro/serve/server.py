@@ -21,7 +21,11 @@ Endpoints:
     ``{"status": "ok", "version": n}`` — 503 before the first publish.
 
 ``GET /stats``
-    The batcher's cumulative statistics (latency percentiles included).
+    The batcher's cumulative statistics, with ``latency``, ``queue_wait``
+    and ``predict`` percentile summaries.
+
+Each response is sent in one socket write on a ``TCP_NODELAY`` socket,
+so a keep-alive client never waits on its own delayed ACK.
 """
 
 from __future__ import annotations
@@ -53,6 +57,19 @@ def _record_value(record: dict, i: int, name: str):
         raise ServeError(f"record {i} is missing column {name!r}") from None
 
 
+#: Open bounds of the floats that truncate into an int32 code column.
+_INT32_LOW = float(np.iinfo(np.int32).min) - 1.0
+_INT32_HIGH = float(np.iinfo(np.int32).max) + 1.0
+
+
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def records_to_batch(
     schema: Schema, records: list, require_label: bool = False
 ) -> np.ndarray:
@@ -64,18 +81,24 @@ def records_to_batch(
     must also carry an integer ``class_label`` in ``[0, n_classes)`` —
     array records list it last.  Raises :class:`ServeError` naming the
     offending record/column on malformed input; categorical predictor
-    codes are *not* range-checked here (unseen codes route right in the
-    kernel), but labels are, since they feed training statistics.
+    codes are *not* range-checked against the domain here (unseen codes
+    route right in the kernel), but they must fit the int32 code column,
+    and labels are range-checked, since they feed training statistics.
+
+    Records are validated one by one, then each column is stored with
+    one vectorized assignment rather than one numpy scalar per value.
     """
     if not isinstance(records, list):
         raise ServeError("'records' must be a JSON array")
-    batch = schema.empty(len(records))
-    batch[CLASS_COLUMN] = 0
     names = [a.name for a in schema]
     columns = names + [CLASS_COLUMN] if require_label else names
+    rows: list = []
     for i, record in enumerate(records):
         if isinstance(record, dict):
-            values = [_record_value(record, i, name) for name in columns]
+            try:
+                values = [record[name] for name in columns]
+            except KeyError:
+                values = [_record_value(record, i, name) for name in columns]
         elif isinstance(record, list):
             if len(record) != len(columns):
                 raise ServeError(
@@ -92,9 +115,35 @@ def records_to_batch(
                     f"record {i} column {name!r} is not a number: "
                     f"{value!r}"
                 )
-            if name == CLASS_COLUMN:
-                value = _checked_label(schema, i, value)
-            batch[name][i] = value
+        if require_label:
+            values = values[:-1] + [_checked_label(schema, i, values[-1])]
+        rows.append(values)
+    batch = schema.empty(len(rows))
+    batch[CLASS_COLUMN] = 0
+    if not rows:
+        return batch
+    try:
+        matrix = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        i, j = next(
+            (i, j) for i, row in enumerate(rows) for j, value in enumerate(row)
+            if not _fits_float(value)
+        )
+        raise ServeError(
+            f"record {i} column {columns[j]!r} is out of range: {rows[i][j]!r}"
+        ) from None
+    for j, name in enumerate(columns):
+        column = matrix[:, j]
+        if batch.dtype[name].kind == "i":
+            # Storing a float truncates toward zero; it must land in int32.
+            bad = ~((column > _INT32_LOW) & (column < _INT32_HIGH))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ServeError(
+                    f"record {i} column {name!r} is not an int32 code: "
+                    f"{rows[i][j]!r}"
+                )
+        batch[name] = column
     return batch
 
 
@@ -115,11 +164,50 @@ def _checked_label(schema: Schema, i: int, value) -> int:
     return label
 
 
+class _ResponseWriter:
+    """A ``wfile`` that holds one response and sends it in one write.
+
+    ``BaseHTTPRequestHandler`` writes the head and the body separately
+    and flushes ``wfile`` after each request (error paths close the
+    connection, and ``finish`` flushes then).  Unbuffered, the body is a
+    second small segment that Nagle holds until the client's delayed ACK
+    (~40 ms) on a keep-alive connection; joined, it leaves with the head.
+    """
+
+    def __init__(self, connection) -> None:
+        self._connection = connection
+        self._chunks: list[bytes] = []
+        self.closed = False
+
+    def write(self, data) -> int:
+        self._chunks.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        if self._chunks:
+            data = b"".join(self._chunks)
+            self._chunks.clear()
+            self._connection.sendall(data)
+
+    def close(self) -> None:
+        self._chunks.clear()
+        self.closed = True
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """One request handler; the server instance carries the serving state."""
+    """One request handler; the server instance carries the serving state.
+
+    Every response reaches the socket in one write, and ``TCP_NODELAY``
+    is set, so no response waits on the client's delayed ACK.
+    """
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: "_Server"
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep the serving path quiet; stats live in /stats

@@ -16,6 +16,7 @@ import pytest
 from repro.exceptions import ReproError, ServeError
 from repro.observability import Tracer
 from repro.serve import ModelRegistry, RequestBatcher, ServeConfig
+from repro.serve import batcher as batcher_module
 from repro.storage import Attribute, Schema
 from repro.tree import DecisionTree
 from repro.tree.model import Node
@@ -301,6 +302,63 @@ class TestShutdownAndStats:
         assert not errors, errors
         assert stats["requests"] == 80
         assert stats["rows"] == 240
+
+    def test_stage_summaries(self):
+        with RequestBatcher(make_registry()) as batcher:
+            for _ in range(3):
+                batcher.predict(rows(5))
+            stats = batcher.stats()
+        shape = set(stats["latency"])
+        assert set(stats["queue_wait"]) == set(stats["predict"]) == shape
+        assert stats["queue_wait"]["count"] == 3
+        assert stats["predict"]["count"] == stats["batches"] == 3
+        # A request's latency is its queue wait plus its batch's predict.
+        assert (
+            stats["queue_wait"]["max_ms"] <= stats["latency"]["max_ms"]
+        )
+        assert stats["predict"]["max_ms"] <= stats["latency"]["max_ms"]
+
+    def test_latency_window_is_bounded_and_counts_cumulative(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(batcher_module, "STATS_WINDOW", 4)
+        config = ServeConfig(max_batch_size=1)  # one request per batch
+        with RequestBatcher(make_registry(), config) as batcher:
+            for _ in range(10):
+                batcher.predict(rows(2))
+            stats = batcher.stats()
+            kept = (len(batcher._latencies), len(batcher._queue_waits),
+                    len(batcher._predict_times))
+        assert kept == (4, 4, 4)
+        assert stats["latency"]["count"] == stats["requests"] == 10
+        assert stats["queue_wait"]["count"] == 10
+        assert stats["predict"]["count"] == stats["batches"] == 10
+
+    def test_stats_snapshot_while_dispatcher_appends(self):
+        config = ServeConfig(max_batch_size=1, max_delay_ms=0.0)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def poll(batcher: RequestBatcher) -> None:
+            try:
+                while not stop.is_set():
+                    batcher.stats()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        with RequestBatcher(make_registry(), config) as batcher:
+            poller = threading.Thread(target=poll, args=(batcher,))
+            poller.start()
+            try:
+                tickets = [batcher.submit(rows(1)) for _ in range(300)]
+                for ticket in tickets:
+                    ticket.result(timeout=10.0)
+            finally:
+                stop.set()
+                poller.join()
+            stats = batcher.stats()
+        assert not errors, errors
+        assert stats["latency"]["count"] == 300
 
 
 class TestBatcherTracing:

@@ -246,6 +246,37 @@ class TestCompiledEdgeCases:
     def test_repr_smoke(self):
         assert "nodes=3" in repr(self._numeric_tree().compile())
 
+    def test_unreached_subtree_is_never_visited(self):
+        """Routing visits only the nodes some record reaches.
+
+        The right subtree of this hand-built predictor splits on feature
+        index 5 of a one-attribute schema: touching it would fail the
+        column lookup, so routing a batch that goes all-left proves the
+        kernel pushes no empty partition onto its work stack.
+        """
+        schema = Schema([Attribute.numerical("x")], n_classes=2)
+        poisoned = 5
+        predictor = CompiledPredictor(
+            schema,
+            feature=np.array([0, LEAF, poisoned, LEAF, LEAF], dtype=np.int32),
+            threshold=np.array([1.0, np.nan, 0.0, np.nan, np.nan]),
+            set_id=np.full(5, -1, dtype=np.int32),
+            cat_member=np.zeros((1, 1), dtype=bool),
+            left=np.array([1, 0, 3, 0, 0], dtype=np.int32),
+            right=np.array([2, 0, 4, 0, 0], dtype=np.int32),
+            leaf_label=np.array([0, 0, 1, 1, 1], dtype=np.int32),
+            leaf_proba=np.full((5, 2), 0.5),
+            node_ids=np.arange(5, dtype=np.int64),
+        )
+        batch = schema.empty(4)
+        batch["x"] = [-3.0, 0.0, 0.5, 1.0]
+        batch["class_label"] = 0
+        assert list(predictor.leaf_indices(batch)) == [1, 1, 1, 1]
+        assert list(predictor.leaf_indices(predictor.matrix(batch))) == [1] * 4
+        batch["x"][3] = 2.0  # one record crosses into the poisoned subtree
+        with pytest.raises(IndexError):
+            predictor.leaf_indices(batch)
+
 
 class TestSeededRandomLoops:
     """Always-run fallback sweep (no hypothesis dependency in the logic)."""

@@ -8,7 +8,9 @@ offline ``tree.predict`` on the same records.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -22,6 +24,7 @@ from repro.serve import (
     ServeConfig,
     records_to_batch,
 )
+from repro.serve import server as server_module
 from repro.splits.base import NumericSplit
 from repro.storage import Attribute, Schema
 from repro.tree import DecisionTree
@@ -107,6 +110,48 @@ class TestRecordsToBatch:
     def test_records_must_be_a_list(self):
         with pytest.raises(ServeError, match="JSON array"):
             records_to_batch(SCHEMA, {"x": 1})
+
+    def test_float_codes_truncate_toward_zero(self):
+        batch = records_to_batch(SCHEMA, [[0.0, 2.7], [1.0, -0.5], [2, True]])
+        assert list(batch["c"]) == [2, 0, 1]
+        assert list(batch["x"]) == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "code", [float("nan"), float("inf"), 2**31, -(2**31) - 1, 1e10]
+    )
+    def test_code_outside_int32_is_named(self, code):
+        with pytest.raises(
+            ServeError, match=r"record 1 column 'c' is not an int32 code"
+        ):
+            records_to_batch(SCHEMA, [[0.0, 1], [0.0, code]])
+
+    def test_int32_bounds_accepted(self):
+        batch = records_to_batch(SCHEMA, [[0.0, 2**31 - 1], [0.0, -(2**31)]])
+        assert list(batch["c"]) == [2**31 - 1, -(2**31)]
+
+    def test_integer_too_large_for_float_is_named(self):
+        with pytest.raises(
+            ServeError, match=r"record 1 column 'x' is out of range"
+        ):
+            records_to_batch(SCHEMA, [[0.0, 1], [10**400, 1]])
+
+    def test_matches_per_value_assignment(self):
+        """Column-wise storage equals storing each value on its own."""
+        rng = np.random.default_rng(11)
+        records = [
+            [float(x), int(c)] if i % 2 else {"x": int(x * 1000), "c": float(c)}
+            for i, (x, c) in enumerate(
+                zip(rng.normal(0, 1e6, 300), rng.integers(-5, 9, 300))
+            )
+        ]
+        expected = SCHEMA.empty(len(records))
+        expected["class_label"] = 0
+        for i, record in enumerate(records):
+            values = record if isinstance(record, list) else [
+                record["x"], record["c"]
+            ]
+            expected["x"][i], expected["c"][i] = values
+        assert records_to_batch(SCHEMA, records).tobytes() == expected.tobytes()
 
 
 class TestRecordsToBatchWithLabel:
@@ -254,9 +299,12 @@ class TestOperationalEndpoints:
         assert status == 200
         assert body["requests"] >= 1
         assert body["model_version"] == 1
-        assert set(body["latency"]) == {
-            "count", "mean_ms", "p50_ms", "p99_ms", "max_ms"
-        }
+        for stage in ("latency", "queue_wait", "predict"):
+            assert set(body[stage]) == {
+                "count", "mean_ms", "p50_ms", "p99_ms", "max_ms"
+            }
+        assert body["queue_wait"]["count"] == body["requests"]
+        assert body["predict"]["count"] == body["batches"]
 
     def test_served_requests_counter(self, server):
         before = server.served_requests
@@ -315,3 +363,105 @@ class TestExactAgreementWithOffline:
             records_to_batch(SCHEMA, records)
         )
         assert np.array_equal(np.array(body["proba"]), offline)
+
+
+class _CountingConnection:
+    """Stands in for the accepted socket and counts what is sent on it."""
+
+    def __init__(self, sock: socket.socket, log: dict):
+        self._sock = sock
+        self._log = log
+
+    def sendall(self, data, *args):
+        self._log["writes"].append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self._log["writes"].append(len(data))
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestOneWriteResponses:
+    """Each response leaves in one write on a ``TCP_NODELAY`` socket.
+
+    Head and body in separate writes make the body wait, with Nagle on,
+    for the client's delayed ACK (~40 ms) on a keep-alive connection.
+    """
+
+    @pytest.fixture()
+    def connections(self, monkeypatch):
+        logs: list[dict] = []
+        setup = server_module._Handler.setup
+
+        def counting_setup(handler):
+            log = {"writes": []}
+            logs.append(log)
+            handler.request = _CountingConnection(handler.request, log)
+            setup(handler)
+            log["nodelay"] = handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+
+        monkeypatch.setattr(server_module._Handler, "setup", counting_setup)
+        return logs
+
+    def _one_request(self, server, method: str, path: str, body=None):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            data = None if body is None else json.dumps(body).encode("utf-8")
+            conn.request(method, path, body=data)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        return response.status, payload
+
+    @pytest.mark.parametrize(
+        "method,path,body,status",
+        [
+            ("POST", "/predict", {"records": [[0.1, 0], [0.9, 1]]}, 200),
+            ("POST", "/predict", {"records": [{"x": 1.0}]}, 400),
+            ("GET", "/healthz", None, 200),
+            ("GET", "/stats", None, 200),
+            ("GET", "/nope", None, 404),
+        ],
+    )
+    def test_response_is_one_write(
+        self, server, connections, method, path, body, status
+    ):
+        got, _ = self._one_request(server, method, path, body)
+        assert got == status
+        (log,) = connections
+        assert len(log["writes"]) == 1, log
+        assert log["nodelay"] != 0
+
+    def test_keep_alive_requests_match_local_predict(self, server):
+        """50 requests on one keep-alive connection, each exact."""
+        tree = threshold_tree()
+        rng = np.random.default_rng(23)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            for _ in range(50):
+                records = [
+                    [float(x), int(c)]
+                    for x, c in zip(
+                        rng.normal(0.5, 0.4, 16), rng.integers(0, 3, 16)
+                    )
+                ]
+                conn.request(
+                    "POST",
+                    "/predict",
+                    body=json.dumps({"records": records}).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 200
+                assert not response.will_close
+                body = json.loads(response.read())
+                expected = tree.predict(records_to_batch(SCHEMA, records))
+                assert body["labels"] == [int(v) for v in expected]
+        finally:
+            conn.close()

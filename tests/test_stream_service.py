@@ -162,7 +162,9 @@ class TestPublishStormStreamingTornReadProof:
                 thread.start()
             # Publish storm: alternating-rule micro-batches so successive
             # trees actually differ; keep going until every reader has
-            # witnessed several versions (30s cap).
+            # witnessed several versions and at least three publishes
+            # followed the initial one (30s cap).  Readers alone can be
+            # satisfied at version 3 ({1, 2, 3}), one publish short.
             deadline = time.monotonic() + 30.0
             seed = 1000
             while time.monotonic() < deadline:
@@ -173,7 +175,7 @@ class TestPublishStormStreamingTornReadProof:
                     timeout=30,
                 )
                 seed += 1
-                if all(
+                if service.version >= 4 and all(
                     len({v for v, _ in obs}) >= 3 for obs in observations
                 ):
                     break
